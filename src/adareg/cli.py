@@ -102,8 +102,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        def need(key, kind, where=raw, ctx="config"):
+        required = object()
+
+        def is_int(val):
+            return isinstance(val, int) and not isinstance(val, bool)
+
+        def need(key, kind, where=raw, ctx="config", default=required):
             if key not in where:
+                if default is not required:
+                    return default
                 raise ConfigError(f"{ctx} is missing required key {key!r}")
             val = where[key]
             if kind is float:
@@ -111,7 +118,7 @@ class ExperimentConfig:
                     raise ConfigError(f"{ctx}[{key!r}] must be a number")
                 return float(val)
             if kind is int:
-                if not isinstance(val, int) or isinstance(val, bool):
+                if not is_int(val):
                     raise ConfigError(f"{ctx}[{key!r}] must be an integer")
                 return val
             if not isinstance(val, kind):
@@ -134,9 +141,7 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset kind {kind!r} needs key {key!r}")
         arch = need("architecture", dict)
         sizes = need("layer_sizes", list, arch, "architecture")
-        if len(sizes) < 2 or any(
-            not isinstance(s, int) or s < 1 for s in sizes
-        ):
+        if len(sizes) < 2 or not all(is_int(s) and s >= 1 for s in sizes):
             raise ConfigError("layer_sizes must be >= 2 positive integers")
 
         methods = tuple(need("methods", list))
@@ -149,23 +154,24 @@ class ExperimentConfig:
                 )
 
         sched_raw = need("schedule", dict)
-        schedule = BcdSchedule(
-            need("outer_loops", int, sched_raw, "schedule"),
-            need("epochs_per_block", int, sched_raw, "schedule"),
-            need("batch_size", int, sched_raw, "schedule"),
-            need("learning_rate", float, sched_raw, "schedule"),
-        )
+        try:
+            schedule = BcdSchedule(
+                need("outer_loops", int, sched_raw, "schedule"),
+                need("epochs_per_block", int, sched_raw, "schedule"),
+                need("batch_size", int, sched_raw, "schedule"),
+                need("learning_rate", float, sched_raw, "schedule"),
+            )
+        except ValueError as e:
+            raise ConfigError(f"schedule: {e}") from None
 
-        bounds_v = float(raw.get("bounds_v", 10.0))
+        bounds_v = need("bounds_v", float, default=10.0)
         if bounds_v < 1.0:
             raise ConfigError("bounds_v must be >= 1")
-        lam = raw.get("lambda")
-        if lam is not None:
-            lam = float(lam)
-            if lam < 0.0:
-                raise ConfigError("lambda must be >= 0")
-        weight_decay = float(raw.get("weight_decay", 0.0))
-        dropout_rate = float(raw.get("dropout_rate", 0.0))
+        lam = None if raw.get("lambda") is None else need("lambda", float)
+        if lam is not None and lam < 0.0:
+            raise ConfigError("lambda must be >= 0")
+        weight_decay = need("weight_decay", float, default=0.0)
+        dropout_rate = need("dropout_rate", float, default=0.0)
         if weight_decay < 0.0:
             raise ConfigError("weight_decay must be >= 0")
         if not 0.0 <= dropout_rate < 1.0:
@@ -183,14 +189,21 @@ class ExperimentConfig:
         else:
             if not isinstance(training_sizes, list) or not training_sizes:
                 raise ConfigError("training_sizes must be a non-empty list")
-            for s in training_sizes:
-                if not isinstance(s, int) or s < 1:
-                    raise ConfigError("training_sizes entries must be positive")
+            if not all(is_int(s) and s >= 1 for s in training_sizes):
+                raise ConfigError("training_sizes entries must be positive integers")
             training_sizes = tuple(training_sizes)
 
         seeds = need("seeds", list)
-        if not seeds or any(not isinstance(s, int) or s < 0 for s in seeds):
+        if not seeds or not all(is_int(s) and s >= 0 for s in seeds):
             raise ConfigError("seeds must be a non-empty list of ints >= 0")
+
+        num_layers = len(sizes) - 1
+        layer_index = need("regularized_layer_index", int, default=-1)
+        if not -num_layers <= layer_index < num_layers:
+            raise ConfigError(
+                f"regularized_layer_index {layer_index} is out of range for "
+                f"{num_layers} layers"
+            )
 
         return cls(
             dataset=dataset,
@@ -203,7 +216,7 @@ class ExperimentConfig:
             dropout_rate=dropout_rate,
             training_sizes=training_sizes,
             seeds=tuple(seeds),
-            regularized_layer_index=int(raw.get("regularized_layer_index", -1)),
+            regularized_layer_index=layer_index,
             output_dir=str(raw.get("output_dir", "runs")),
         )
 

@@ -16,12 +16,12 @@ materialized outside of sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPD
-from .spectral import SpectralBounds, SymMatrix, eigh
+from .spectral import EigenDecomposition, SpectralBounds, SymMatrix
 
 __all__ = [
     "MatrixNormalPrior",
@@ -38,27 +38,25 @@ SPECTRUM_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class MatrixNormalPrior:
-    """Matrix-variate normal with zero mean and PD row/column covariances."""
+    """Matrix-variate normal with zero mean and PD row/column covariances.
+
+    Construction checks positive definiteness on each covariance's
+    spectrum, which is decomposed here unless the matrix already carries
+    it (as the covariances built by :meth:`PrecisionPair.to_prior` do).
+    """
 
     row_cov: SymMatrix
     col_cov: SymMatrix
-    # Cached spectra of the covariances; populated on construction.
-    _row_eig: object = field(init=False, repr=False, compare=False)
-    _col_eig: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "row_cov", SymMatrix.wrap(self.row_cov))
         object.__setattr__(self, "col_cov", SymMatrix.wrap(self.col_cov))
-        row_eig = eigh(self.row_cov)
-        col_eig = eigh(self.col_cov)
-        for name, dec in (("row", row_eig), ("column", col_eig)):
-            if dec.eigenvalues[-1] <= 0.0:
+        for name, cov in (("row", self.row_cov), ("column", self.col_cov)):
+            smallest = cov.spectrum().eigenvalues[-1]
+            if smallest <= 0.0:
                 raise NotPD(
-                    f"{name} covariance has non-positive eigenvalue "
-                    f"{dec.eigenvalues[-1]:.3e}"
+                    f"{name} covariance has non-positive eigenvalue {smallest:.3e}"
                 )
-        object.__setattr__(self, "_row_eig", row_eig)
-        object.__setattr__(self, "_col_eig", col_eig)
 
     @property
     def p(self) -> int:
@@ -74,33 +72,28 @@ class PrecisionPair:
     """Row/column precision matrices constrained to spectra in [u, v].
 
     These are the inverse covariances of the corresponding
-    :class:`MatrixNormalPrior`; construction verifies the spectrum bounds
-    (within 1e-8 slack) and caches the eigendecompositions for cheap
-    log-determinants and inversion.
+    :class:`MatrixNormalPrior`.  Construction verifies the spectrum bounds
+    (within 1e-8 slack) on each precision's spectrum: the one a solve
+    attached to it, or a fresh decomposition for a raw matrix.
+    Log-determinants and inversion then read that spectrum.
     """
 
     omega_r: SymMatrix
     omega_c: SymMatrix
     bounds: SpectralBounds
-    _row_eig: object = field(init=False, repr=False, compare=False)
-    _col_eig: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "omega_r", SymMatrix.wrap(self.omega_r))
         object.__setattr__(self, "omega_c", SymMatrix.wrap(self.omega_c))
-        row_eig = eigh(self.omega_r)
-        col_eig = eigh(self.omega_c)
         lo = self.bounds.u - SPECTRUM_SLACK
         hi = self.bounds.v + SPECTRUM_SLACK
-        for name, dec in (("omega_r", row_eig), ("omega_c", col_eig)):
-            vals = dec.eigenvalues
+        for name, omega in (("omega_r", self.omega_r), ("omega_c", self.omega_c)):
+            vals = omega.spectrum().eigenvalues
             if vals[-1] < lo or vals[0] > hi:
                 raise ValueError(
                     f"{name} spectrum [{vals[-1]:.6g}, {vals[0]:.6g}] leaves "
                     f"[{self.bounds.u:.6g}, {self.bounds.v:.6g}]"
                 )
-        object.__setattr__(self, "_row_eig", row_eig)
-        object.__setattr__(self, "_col_eig", col_eig)
 
     @property
     def p(self) -> int:
@@ -112,24 +105,30 @@ class PrecisionPair:
 
     @classmethod
     def identity(cls, p: int, d: int, bounds: SpectralBounds) -> "PrecisionPair":
-        return cls(SymMatrix(np.eye(p)), SymMatrix(np.eye(d)), bounds)
+        return cls(_identity(p), _identity(d), bounds)
 
     def logdet_r(self) -> float:
-        return float(np.sum(np.log(self._row_eig.eigenvalues)))
+        return self.omega_r.spectrum().logdet()
 
     def logdet_c(self) -> float:
-        return float(np.sum(np.log(self._col_eig.eigenvalues)))
+        return self.omega_c.spectrum().logdet()
 
     def to_prior(self) -> MatrixNormalPrior:
         """Invert both precisions into the covariance parametrization."""
-        row = _from_spectrum(self._row_eig, 1.0 / self._row_eig.eigenvalues)
-        col = _from_spectrum(self._col_eig, 1.0 / self._col_eig.eigenvalues)
-        return MatrixNormalPrior(row, col)
+        return MatrixNormalPrior(
+            self.omega_r.spectrum().inverse().assemble(),
+            self.omega_c.spectrum().inverse().assemble(),
+        )
 
 
-def _from_spectrum(dec, new_vals: np.ndarray) -> SymMatrix:
-    q = dec.eigenvectors
-    return SymMatrix((q * new_vals) @ q.T)
+def _identity(n: int) -> SymMatrix:
+    return EigenDecomposition(np.ones(n), np.eye(n)).assemble()
+
+
+def _with_values(cov: SymMatrix, fn) -> np.ndarray:
+    """Entries of Q diag(fn(eigenvalues)) Q.T for cov = Q diag(.) Q.T."""
+    dec = cov.spectrum()
+    return EigenDecomposition(fn(dec.eigenvalues), dec.eigenvectors).assemble().entries
 
 
 def log_density(w, prior: MatrixNormalPrior) -> float:
@@ -142,12 +141,12 @@ def log_density(w, prior: MatrixNormalPrior) -> float:
     p, d = prior.p, prior.d
     if w.shape != (p, d):
         raise DimensionMismatch(f"W has shape {w.shape}, prior expects {(p, d)}")
-    row_inv = _from_spectrum(prior._row_eig, 1.0 / prior._row_eig.eigenvalues)
-    col_inv = _from_spectrum(prior._col_eig, 1.0 / prior._col_eig.eigenvalues)
-    m = row_inv.entries @ w @ col_inv.entries
+    m = _with_values(prior.row_cov, np.reciprocal) @ w @ _with_values(
+        prior.col_cov, np.reciprocal
+    )
     trace_term = float(np.sum(m * w))
-    logdet_r = float(np.sum(np.log(prior._row_eig.eigenvalues)))
-    logdet_c = float(np.sum(np.log(prior._col_eig.eigenvalues)))
+    logdet_r = prior.row_cov.spectrum().logdet()
+    logdet_c = prior.col_cov.spectrum().logdet()
     return (
         -0.5 * trace_term
         - 0.5 * p * d * math.log(2.0 * math.pi)
@@ -164,12 +163,12 @@ def sample(prior: MatrixNormalPrior, seed, size: int | None = None) -> np.ndarra
     matrix; an integer returns a (size, p, d) stack from a single stream.
     """
     p, d = prior.p, prior.d
-    sqrt_r = _from_spectrum(prior._row_eig, np.sqrt(prior._row_eig.eigenvalues))
-    sqrt_c = _from_spectrum(prior._col_eig, np.sqrt(prior._col_eig.eigenvalues))
+    sqrt_r = _with_values(prior.row_cov, np.sqrt)
+    sqrt_c = _with_values(prior.col_cov, np.sqrt)
     rng = np.random.default_rng(seed)
     n = 1 if size is None else int(size)
     z = rng.standard_normal(size=(n, p, d))
-    out = sqrt_r.entries @ z @ sqrt_c.entries
+    out = sqrt_r @ z @ sqrt_c
     return out[0] if size is None else out
 
 

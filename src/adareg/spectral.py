@@ -10,14 +10,16 @@ C clamps the eigenvalues themselves, and the precision subproblem
 is solved exactly by clamping m / r_i, where r_i are the eigenvalues of the
 (PSD) data matrix delta.
 
-The eigensolver is a self-contained cyclic Jacobi scheme: dimensions in this
-package are at most a few hundred, and a deterministic, high-accuracy solver
-matters more here than peak speed.
+The eigensolver is LAPACK's symmetric driver, called through numpy.  A
+solved matrix carries the decomposition it was built from, so each solve
+costs exactly one decomposition: log-determinants, inverses and square
+roots downstream read the stored spectrum.  The test suite checks the
+solver against an independent cyclic Jacobi implementation
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +37,16 @@ __all__ = [
     "subproblem_objective",
 ]
 
-# Symmetry deviation tolerated by SymMatrix before symmetrization.
-SYMMETRY_ATOL = 1e-10
-
-
 class SymMatrix:
     """A dense real symmetric matrix.
 
     Construction symmetrizes the input, ``A <- (A + A.T) / 2``, and rejects
     non-square or non-finite input.  ``entries`` is a defensive copy; treat
-    it as read-only.
+    it as read-only.  :meth:`spectrum` returns the matrix's eigendecomposition:
+    the one it was assembled from, or one computed on first use.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_spectrum")
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
@@ -56,10 +55,17 @@ class SymMatrix:
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         self.entries = (a + a.T) / 2.0
+        self._spectrum = None
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    def spectrum(self) -> "EigenDecomposition":
+        """Eigendecomposition of this matrix, decomposed at most once."""
+        if self._spectrum is None:
+            self._spectrum = eigh(self)
+        return self._spectrum
 
     @classmethod
     def wrap(cls, a) -> "SymMatrix":
@@ -113,89 +119,50 @@ class EigenDecomposition:
         q = self.eigenvectors
         return (q * self.eigenvalues) @ q.T
 
+    def assemble(self) -> SymMatrix:
+        """Q diag(eigenvalues) Q.T as a SymMatrix that keeps this spectrum.
+
+        A uniform spectrum t is returned as exactly t*I: mathematically
+        Q (t I) Q.T = t I, and skipping the product avoids roundoff (and
+        keeps the u = v = 1 case bit-exact identity).
+        """
+        vals = self.eigenvalues
+        if vals.size and vals[0] == vals[-1]:
+            out = SymMatrix(vals[0] * np.eye(self.dim))
+        else:
+            out = SymMatrix(self.reconstruct())
+        out._spectrum = self
+        return out
+
+    def inverse(self) -> "EigenDecomposition":
+        """Spectrum of the inverse matrix, still in descending order."""
+        return EigenDecomposition(
+            1.0 / self.eigenvalues[::-1], self.eigenvectors[:, ::-1]
+        )
+
+    def logdet(self) -> float:
+        return float(np.sum(np.log(self.eigenvalues)))
+
 
 def threshold(x: float, bounds: SpectralBounds) -> float:
     """Clamp ``x`` into [u, v]; +inf maps to v."""
     return max(bounds.u, min(bounds.v, x))
 
 
-def _jacobi_rotate(a: np.ndarray, q: np.ndarray, p: int, r: int) -> None:
-    """Zero a[p, r] (p < r) with a two-sided Givens rotation, in place.
-
-    ``a`` stays symmetric; ``q`` accumulates the rotations so that the
-    original matrix equals q @ a @ q.T throughout.
-    """
-    apq = a[p, r]
-    app = a[p, p]
-    aqq = a[r, r]
-    tau = (aqq - app) / (2.0 * apq)
-    # Smaller-angle root of t^2 + 2*tau*t - 1 = 0; stable for large |tau|.
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    row_p = a[p, :].copy()
-    row_r = a[r, :].copy()
-    a[p, :] = c * row_p - s * row_r
-    a[r, :] = s * row_p + c * row_r
-    col_p = a[:, p].copy()
-    col_r = a[:, r].copy()
-    a[:, p] = c * col_p - s * col_r
-    a[:, r] = s * col_p + c * col_r
-    # Exact values on the 2x2 block kill roundoff drift.
-    a[p, p] = app - t * apq
-    a[r, r] = aqq + t * apq
-    a[p, r] = 0.0
-    a[r, p] = 0.0
-
-    qp = q[:, p].copy()
-    qr = q[:, r].copy()
-    q[:, p] = c * qp - s * qr
-    q[:, r] = s * qp + c * qr
-
-
 def eigh(a) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix (LAPACK, through numpy).
 
-    Sweeps run until every off-diagonal magnitude drops below
-    ``1e-12 * ||A||_F``; the Frobenius norm is rotation-invariant, so the
-    bound is fixed up front.  Deterministic up to the sign of eigenvector
-    columns.
-
-    Raises ConvergenceFailure if the sweep cap (100 * dim**2) is exceeded,
-    which for Jacobi iteration would indicate corrupted input rather than
-    slow convergence.
+    The input is symmetrized through :class:`SymMatrix`.  Eigenvalues come
+    back in descending order with matching eigenvector columns; the result
+    is deterministic for a given input.  Raises ConvergenceFailure when
+    LAPACK reports that it did not converge.
     """
     sym = SymMatrix.wrap(a)
-    n = sym.dim
-    work = sym.entries.copy()
-    q = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(work.diagonal().copy(), q)
-
-    fro = math.sqrt(float(np.sum(work * work)))
-    tol = 1e-12 * fro
-    if fro > 0.0:
-        upper = ~np.tri(n, dtype=bool)
-        max_sweeps = 100 * n * n
-        for _ in range(max_sweeps):
-            if np.max(np.abs(work[upper])) <= tol:
-                break
-            for p in range(n - 1):
-                for r in range(p + 1, n):
-                    if abs(work[p, r]) > tol:
-                        _jacobi_rotate(work, q, p, r)
-        else:
-            raise ConvergenceFailure(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
-            )
-
-    vals = work.diagonal().copy()
-    order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(vals[order], np.ascontiguousarray(q[:, order]))
+    try:
+        vals, vecs = np.linalg.eigh(sym.entries)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceFailure(f"eigensolver did not converge: {e}") from None
+    return EigenDecomposition(vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]))
 
 
 def project_to_cone(a, bounds: SpectralBounds) -> SymMatrix:
@@ -206,7 +173,7 @@ def project_to_cone(a, bounds: SpectralBounds) -> SymMatrix:
     """
     dec = eigh(a)
     clamped = np.clip(dec.eigenvalues, bounds.u, bounds.v)
-    return _assemble(dec.eigenvectors, clamped)
+    return EigenDecomposition(clamped, dec.eigenvectors).assemble()
 
 
 def inv_threshold(delta, m: int, bounds: SpectralBounds) -> SymMatrix:
@@ -217,7 +184,8 @@ def inv_threshold(delta, m: int, bounds: SpectralBounds) -> SymMatrix:
     With delta = Q diag(r) Q.T the minimizer is Q diag(clamp(m / r)) Q.T,
     where m / 0 = +inf clamps to v: zero eigenvalues of a rank-deficient
     delta put no data constraint on that direction, so the precision takes
-    its largest admissible value.
+    its largest admissible value.  The result carries its spectrum, so
+    nothing downstream decomposes it again.
     """
     if m <= 0:
         raise ValueError(f"m must be a positive integer, got {m}")
@@ -233,7 +201,8 @@ def inv_threshold(delta, m: int, bounds: SpectralBounds) -> SymMatrix:
     positive = r > 0.0
     inverted[positive] = m / r[positive]
     clamped = np.clip(inverted, bounds.u, bounds.v)
-    return _assemble(dec.eigenvectors, clamped)
+    # m / r ascends where r descends; reverse to keep the descending order.
+    return EigenDecomposition(clamped[::-1], dec.eigenvectors[:, ::-1]).assemble()
 
 
 def subproblem_objective(omega, delta, m: int) -> float:
@@ -244,20 +213,9 @@ def subproblem_objective(omega, delta, m: int) -> float:
     """
     om = SymMatrix.wrap(omega)
     de = SymMatrix.wrap(delta)
-    vals = eigh(om).eigenvalues
-    if vals[-1] <= 0.0:
-        raise NotPD(f"omega has non-positive eigenvalue {vals[-1]:.3e}")
+    dec = om.spectrum()
+    if dec.eigenvalues[-1] <= 0.0:
+        raise NotPD(f"omega has non-positive eigenvalue {dec.eigenvalues[-1]:.3e}")
     trace_term = float(np.sum(om.entries * de.entries))
-    return trace_term - m * float(np.sum(np.log(vals)))
+    return trace_term - m * dec.logdet()
 
-
-def _assemble(q: np.ndarray, spectrum: np.ndarray) -> SymMatrix:
-    """Rebuild Q diag(spectrum) Q.T as a SymMatrix.
-
-    A uniform spectrum t is returned as exactly t*I: mathematically
-    Q (t I) Q.T = t I, and skipping the product avoids roundoff (and keeps
-    the u = v = 1 case bit-exact identity).
-    """
-    if spectrum.size and spectrum[0] == spectrum[-1]:
-        return SymMatrix(spectrum[0] * np.eye(q.shape[0]))
-    return SymMatrix((q * spectrum) @ q.T)

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is deliberately built on numpy.linalg primitives (not on the
+Everything here is deliberately built on numpy primitives (not on the
 package under test) so that each check compares two unrelated routes to the
-same quantity.
+same quantity.  The package's eigensolver is LAPACK; :func:`jacobi_eigh`
+is a pure-Python cyclic Jacobi solver that shares no code with it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -87,3 +90,72 @@ def finite_difference_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (up - down) / (2.0 * step)
     return g
+
+
+def _jacobi_rotate(a: np.ndarray, q: np.ndarray, p: int, r: int) -> None:
+    """Zero a[p, r] (p < r) with a two-sided Givens rotation, in place.
+
+    ``a`` stays symmetric; ``q`` accumulates the rotations so that the
+    original matrix equals q @ a @ q.T throughout.
+    """
+    apq = a[p, r]
+    app = a[p, p]
+    aqq = a[r, r]
+    tau = (aqq - app) / (2.0 * apq)
+    # Smaller-angle root of t^2 + 2*tau*t - 1 = 0; stable for large |tau|.
+    if tau >= 0.0:
+        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+    else:
+        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+
+    row_p = a[p, :].copy()
+    row_r = a[r, :].copy()
+    a[p, :] = c * row_p - s * row_r
+    a[r, :] = s * row_p + c * row_r
+    col_p = a[:, p].copy()
+    col_r = a[:, r].copy()
+    a[:, p] = c * col_p - s * col_r
+    a[:, r] = s * col_p + c * col_r
+    # Exact values on the 2x2 block kill roundoff drift.
+    a[p, p] = app - t * apq
+    a[r, r] = aqq + t * apq
+    a[p, r] = 0.0
+    a[r, p] = 0.0
+
+    qp = q[:, p].copy()
+    qr = q[:, r].copy()
+    q[:, p] = c * qp - s * qr
+    q[:, r] = s * qp + c * qr
+
+
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvector columns by cyclic Jacobi.
+
+    Sweeps run until every off-diagonal magnitude drops below
+    ``1e-12 * ||A||_F``; the Frobenius norm is rotation-invariant, so the
+    bound is fixed up front.  Raises RuntimeError past 100 * n**2 sweeps,
+    which for Jacobi iteration means corrupted input, not slow convergence.
+    """
+    a = np.asarray(a, dtype=float)
+    work = (a + a.T) / 2.0
+    n = work.shape[0]
+    q = np.eye(n)
+    fro = math.sqrt(float(np.sum(work * work)))
+    tol = 1e-12 * fro
+    if n > 1 and fro > 0.0:
+        upper = ~np.tri(n, dtype=bool)
+        max_sweeps = 100 * n * n
+        for _ in range(max_sweeps):
+            if np.max(np.abs(work[upper])) <= tol:
+                break
+            for p in range(n - 1):
+                for r in range(p + 1, n):
+                    if abs(work[p, r]) > tol:
+                        _jacobi_rotate(work, q, p, r)
+        else:
+            raise RuntimeError(f"Jacobi did not converge in {max_sweeps} sweeps")
+    vals = work.diagonal().copy()
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], q[:, order]

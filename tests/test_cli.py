@@ -153,6 +153,35 @@ class TestConfigValidation:
         assert main(["validate", str(p)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    BAD_VALUES = [
+        (("bounds_v",), "ten"),
+        (("lambda",), "x"),
+        (("weight_decay",), "1e-3"),
+        (("schedule", "batch_size"), 0),
+        (("schedule", "outer_loops"), 0),
+        (("seeds",), [True]),
+        (("training_sizes",), [True]),
+        (("regularized_layer_index",), 5),
+    ]
+
+    @pytest.mark.parametrize(
+        "path, value", BAD_VALUES, ids=[path[-1] for path, _ in BAD_VALUES]
+    )
+    def test_bad_value_rejected_by_from_dict_and_validate(
+        self, tmp_path, capsys, path, value
+    ):
+        raw = _synth_config(tmp_path / "runs")
+        where = raw
+        for key in path[:-1]:
+            where = where[key]
+        where[path[-1]] = value
+        with pytest.raises(ConfigError, match=path[-1]):
+            ExperimentConfig.from_dict(raw)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["validate", str(p)]) == 1
+        assert path[-1] in capsys.readouterr().err
+
 
 class TestRunExperiment:
     def test_smoke_run_writes_expected_files(self, tmp_path):

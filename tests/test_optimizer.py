@@ -5,6 +5,8 @@ feasibility), the degeneration to weight decay at u = v = 1, trajectory
 determinism, and finite-difference checks of the full objective's gradient.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from adareg.optimizer import (
     train_block,
     update_precisions,
 )
-from adareg.prior import regularizer_grad, regularizer_value
+from adareg import spectral
+from adareg.prior import PrecisionPair, regularizer_grad, regularizer_value
 from adareg.spectral import SpectralBounds, SymMatrix, inv_threshold
 
 B10 = SpectralBounds.from_v(10.0)
@@ -153,6 +156,50 @@ class TestUpdatePrecisions:
                 vals = np.linalg.eigvalsh(m)
                 assert vals.min() >= B10.u - 1e-8
                 assert vals.max() <= B10.v + 1e-8
+
+
+class TestOneDecompositionPerSolve:
+    """Each closed-form solve decomposes once; its spectrum travels on."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        """Counts calls to spectral.eigh through every adareg binding of it."""
+        calls = []
+        original = spectral.eigh
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "adareg" and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    def test_update_precisions_decomposes_twice(self, eigh_calls):
+        state = _random_state(np.random.default_rng(10))
+        eigh_calls.clear()
+        out = update_precisions(state)
+        assert len(eigh_calls) == 2
+        pair = out.precisions
+        assert np.isfinite(pair.logdet_r() + pair.logdet_c())
+        pair.to_prior()
+        assert len(eigh_calls) == 2
+
+    def test_identity_and_to_prior_do_not_decompose(self, eigh_calls):
+        pair = PrecisionPair.identity(3, 4, B10)
+        prior = pair.to_prior()
+        assert eigh_calls == []
+        np.testing.assert_array_equal(prior.row_cov.entries, np.eye(3))
+
+    def test_raw_matrices_still_checked(self, eigh_calls):
+        with pytest.raises(ValueError, match="omega_r spectrum"):
+            PrecisionPair(SymMatrix(np.diag([11.0, 1.0])), SymMatrix(np.eye(2)), B10)
+        with pytest.raises(ValueError, match="omega_c spectrum"):
+            PrecisionPair(SymMatrix(np.eye(2)), SymMatrix(np.diag([1.0, 0.05])), B10)
+        assert eigh_calls  # raw matrices carry no spectrum to trust
 
 
 class TestTrainBlock:

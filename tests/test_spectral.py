@@ -1,14 +1,14 @@
 """Tests for the bounded-spectrum cone solvers.
 
-The eigensolver is checked against numpy.linalg.eigh; the closed-form cone
-operations are checked against spectrum-clipping built directly on numpy,
+The LAPACK-backed eigensolver is checked against the independent cyclic
+Jacobi oracle in ``oracles.py``; the closed-form cone operations are checked against spectrum-clipping built directly on numpy,
 against random feasible competitors, and against hand-worked 2x2 cases.
 """
 
 import numpy as np
 import pytest
 
-from adareg.errors import NotPD, NotPSD
+from adareg.errors import ConvergenceFailure, NotPD, NotPSD
 from adareg.spectral import (
     EigenDecomposition,
     SpectralBounds,
@@ -21,6 +21,7 @@ from adareg.spectral import (
 )
 from oracles import (
     clip_spectrum,
+    jacobi_eigh,
     precision_objective,
     random_feasible,
     random_orthogonal,
@@ -119,6 +120,41 @@ class TestEigh:
             ref = np.sort(np.linalg.eigvalsh(a))[::-1]
             np.testing.assert_allclose(vals, ref, atol=1e-10 * max(1, np.abs(a).max()))
 
+    def test_matches_jacobi_oracle(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 13):
+            for _ in range(3):
+                a = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+                dec = eigh(a)
+                vals, vecs = jacobi_eigh(a)
+                scale = max(1.0, np.abs(a).max())
+                np.testing.assert_allclose(dec.eigenvalues, vals, atol=1e-10 * scale)
+                _assert_same_eigenspaces(dec.eigenvalues, dec.eigenvectors, vecs)
+
+    def test_repeated_eigenvalue_subspaces_match_oracle(self):
+        rng = np.random.default_rng(20)
+        for spectrum in ([3.0, 3.0, 1.0], [2.0, 0.5, 0.5, 0.5, -1.0], [4.0] * 2 + [0.0] * 4):
+            n = len(spectrum)
+            q = random_orthogonal(rng, n)
+            a = (q * np.array(spectrum)) @ q.T
+            dec = eigh(a)
+            vals, vecs = jacobi_eigh(a)
+            np.testing.assert_allclose(dec.eigenvalues, vals, atol=1e-10)
+            _assert_same_eigenspaces(dec.eigenvalues, dec.eigenvectors, vecs)
+
+    def test_one_by_one(self):
+        dec = eigh(np.array([[-2.5]]))
+        np.testing.assert_array_equal(dec.eigenvalues, [-2.5])
+        np.testing.assert_array_equal(np.abs(dec.eigenvectors), [[1.0]])
+
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch):
+        def fail(_a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            eigh(np.eye(3))
+
     def test_repeated_eigenvalues(self):
         a = np.eye(4) * 3.0
         dec = eigh(a)
@@ -135,6 +171,21 @@ class TestEigh:
         d1, d2 = eigh(a), eigh(a)
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+
+def _assert_same_eigenspaces(eigenvalues, ours, theirs, gap=1e-6):
+    """Columns of ``ours`` and ``theirs`` span the same eigenspaces.
+
+    Eigenvalues closer than ``gap`` form one cluster; each cluster is
+    compared through its orthogonal projector, which is basis-independent.
+    """
+    start = 0
+    for stop in range(1, len(eigenvalues) + 1):
+        if stop < len(eigenvalues) and eigenvalues[stop - 1] - eigenvalues[stop] < gap:
+            continue
+        a, b = ours[:, start:stop], theirs[:, start:stop]
+        np.testing.assert_allclose(a @ a.T, b @ b.T, atol=1e-8)
+        start = stop
 
 
 class TestProjectToCone:
@@ -245,6 +296,22 @@ class TestInvThreshold:
             out = inv_threshold(w @ w.T, d, B_HALF_TWO)
             vals = np.linalg.eigvalsh(out.entries)
             assert vals.min() >= 0.5 - 1e-8 and vals.max() <= 2.0 + 1e-8
+
+    def test_result_carries_its_spectrum(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            n = int(rng.integers(1, 7))
+            delta = random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
+            for out in (
+                inv_threshold(delta, 3, B_HALF_TWO),
+                project_to_cone(random_symmetric(rng, n, scale=3.0), B_HALF_TWO),
+            ):
+                dec = out.spectrum()
+                assert np.all(np.diff(dec.eigenvalues) <= 0.0)
+                np.testing.assert_allclose(dec.reconstruct(), out.entries, atol=1e-12)
+                np.testing.assert_allclose(
+                    dec.eigenvalues, eigh(out).eigenvalues, atol=1e-12
+                )
 
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(18)
