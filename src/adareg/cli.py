@@ -23,9 +23,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .net import LossKind, Network
-from .optimizer import BcdSchedule, MetricLog, predict, run_adareg
+from .optimizer import BcdSchedule, EpochRecord, MetricLog, predict, run_adareg
 from .spectral import SpectralBounds
 
 __all__ = [
@@ -70,6 +71,25 @@ METHODS = (
 )
 
 SUMMARY_SCHEMA = "adareg-run-v1"
+
+# Per dataset kind: the keys its loader needs, then those it has defaults for
+# (besides ``standardize``, which every kind may set).
+DATASET_KEYS = {
+    "mnist_idx": (("train_images", "train_labels", "test_images", "test_labels"), ()),
+    "csv_regression": (("train_path", "test_path", "num_targets"), ()),
+    "synthetic_multitask": (
+        ("n_train", "n_test"),
+        ("input_dim", "num_tasks", "task_correlation", "noise_std", "seed"),
+    ),
+}
+# Types of the dataset keys that are not file names.
+DATASET_KEY_TYPES = {
+    **dict.fromkeys(
+        ("num_targets", "n_train", "n_test", "input_dim", "num_tasks", "seed"), int
+    ),
+    "task_correlation": float,
+    "noise_std": float,
+}
 
 
 @dataclass(frozen=True)
@@ -102,6 +122,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         required = object()
 
         def is_int(val):
@@ -128,17 +150,22 @@ class ExperimentConfig:
             return val
 
         dataset = need("dataset", dict)
-        kind = dataset.get("kind")
-        if kind not in ("mnist_idx", "csv_regression", "synthetic_multitask"):
+        kind = need("kind", str, dataset, "dataset")
+        if kind not in DATASET_KEYS:
             raise ConfigError(f"unknown dataset kind {kind!r}")
-        required_keys = {
-            "mnist_idx": ("train_images", "train_labels", "test_images", "test_labels"),
-            "csv_regression": ("train_path", "test_path", "num_targets"),
-            "synthetic_multitask": ("n_train", "n_test"),
-        }[kind]
-        for key in required_keys:
-            if key not in dataset:
+        needed, defaulted = DATASET_KEYS[kind]
+        for key in needed + defaulted:
+            if key not in dataset and key in needed:
                 raise ConfigError(f"dataset kind {kind!r} needs key {key!r}")
+            need(key, DATASET_KEY_TYPES.get(key, str), dataset, "dataset", default=None)
+        need("standardize", bool, dataset, "dataset", default=None)
+        if kind == "csv_regression" and dataset["num_targets"] < 1:
+            raise ConfigError("dataset['num_targets'] must be >= 1")
+        if kind == "synthetic_multitask":
+            try:
+                _synthetic_spec(dataset)
+            except ValueError as e:
+                raise ConfigError(f"dataset: {e}") from None
         arch = need("architecture", dict)
         sizes = need("layer_sizes", list, arch, "architecture")
         if len(sizes) < 2 or not all(is_int(s) and s >= 1 for s in sizes):
@@ -250,8 +277,11 @@ def _resolve_path(path: str) -> Path:
     return (Path(root) / p) if root else p
 
 
-def _load_base_datasets(dataset_json: str) -> tuple[Dataset, Dataset]:
-    return _load_base_cached(dataset_json)
+def _synthetic_spec(dataset: dict) -> SyntheticMultitaskSpec:
+    """Generator settings of a ``synthetic_multitask`` block; keys the block
+    leaves out take the spec's defaults."""
+    names = {f.name for f in fields(SyntheticMultitaskSpec)}
+    return SyntheticMultitaskSpec(**{k: v for k, v in dataset.items() if k in names})
 
 
 @lru_cache(maxsize=4)
@@ -269,22 +299,11 @@ def _load_base_cached(dataset_json: str) -> tuple[Dataset, Dataset]:
         )
         return train, test
     if kind == "csv_regression":
-        num_targets = int(spec["num_targets"])
+        num_targets = spec["num_targets"]
         train = load_csv_regression(_resolve_path(spec["train_path"]), num_targets)
         test = load_csv_regression(_resolve_path(spec["test_path"]), num_targets)
-        if spec.get("standardize", True):
-            train, test = standardize_inputs(train, test)
-        return train, test
-    synth = SyntheticMultitaskSpec(
-        n_train=int(spec["n_train"]),
-        n_test=int(spec["n_test"]),
-        input_dim=int(spec.get("input_dim", 21)),
-        num_tasks=int(spec.get("num_tasks", 7)),
-        task_correlation=float(spec.get("task_correlation", 0.0)),
-        noise_std=float(spec.get("noise_std", 0.1)),
-        seed=int(spec.get("seed", 0)),
-    )
-    train, test = synth_multitask(synth)
+    else:
+        train, test = synth_multitask(_synthetic_spec(spec))
     if spec.get("standardize", True):
         train, test = standardize_inputs(train, test)
     return train, test
@@ -312,7 +331,7 @@ def _run_cell(
     seed: int,
     out_dir: Path,
 ) -> str:
-    train_full, test = _load_base_datasets(json.dumps(config.dataset, sort_keys=True))
+    train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
     if size is None or size == train_full.n:
         train = subsample(train_full, train_full.n, [seed, 101])
     else:
@@ -364,26 +383,15 @@ def _run_cell(
         weight_decay=wd,
         dropout_rate=dr,
     )
-    log.wall_seconds = time.perf_counter() - started
-
-    final = state.net
-    log.spectrum_per_layer = [
-        {"layer": i, **SpectrumReport.of(layer.weight).__dict__}
-        for i, layer in enumerate(final.layers)
-    ]
-    log.correlation = correlation_matrix(final.regularized_weight)
-    if train.kind == DatasetKind.REGRESSION:
-        log.per_task_explained_variance = explained_variance(
-            predict(final, test), test.targets
-        )
+    wall_seconds = time.perf_counter() - started
 
     name = _cell_name(method, size, seed)
     _write_metrics_csv(out_dir / f"{name}_metrics.csv", log)
     _write_summary_json(
-        out_dir / f"{name}_summary.json", config, method, size, seed, train, log
+        out_dir / f"{name}_summary.json", method, size, seed, train, test, state, log
     )
     _write_weights_npz(out_dir / f"{name}_weights.npz", state, train.kind)
-    note = f"[adareg] {name}: done in {log.wall_seconds:.1f}s"
+    note = f"[adareg] {name}: done in {wall_seconds:.1f}s"
     if log.records:
         note += f" (final test metric {log.records[-1].test_metric:.4f})"
     print(note, file=sys.stderr)
@@ -392,41 +400,25 @@ def _run_cell(
 
 def _write_metrics_csv(path: Path, log: MetricLog) -> None:
     with open(path, "w", newline="") as f:
+        # csv writes a Python float as its repr, so the floats round-trip.
         writer = csv.writer(f)
-        writer.writerow(
-            [
-                "epoch",
-                "outer_iter",
-                "train_loss",
-                "train_objective",
-                "test_loss",
-                "train_metric",
-                "test_metric",
-            ]
-        )
-        for r in log.records:
-            writer.writerow(
-                [
-                    r.epoch,
-                    r.outer_iter,
-                    repr(r.train_loss),
-                    repr(r.train_objective),
-                    repr(r.test_loss),
-                    repr(r.train_metric),
-                    repr(r.test_metric),
-                ]
-            )
+        writer.writerow([f.name for f in fields(EpochRecord)])
+        writer.writerows(astuple(r) for r in log.records)
 
 
 def _write_summary_json(
     path: Path,
-    config: ExperimentConfig,
     method: str,
     size: int | None,
     seed: int,
     train: Dataset,
+    test: Dataset,
+    state,
     log: MetricLog,
 ) -> None:
+    """Final metrics from the log, plus the final network's layer spectra and
+    row correlations and, for regression, its per-task test explained variance."""
+    final = state.net
     is_classification = train.kind == DatasetKind.CLASSIFICATION
     summary = {
         "schema": SUMMARY_SCHEMA,
@@ -440,14 +432,15 @@ def _write_summary_json(
         "final_test_loss": log.records[-1].test_loss if log.records else None,
         "final_train_metric": log.records[-1].train_metric if log.records else None,
         "final_test_metric": log.records[-1].test_metric if log.records else None,
-        "spectrum_per_layer": log.spectrum_per_layer,
-        "correlation": log.correlation.tolist()
-        if log.correlation is not None
-        else None,
+        "spectrum_per_layer": [
+            {"layer": i, **SpectrumReport.of(layer.weight).__dict__}
+            for i, layer in enumerate(final.layers)
+        ],
+        "correlation": correlation_matrix(final.regularized_weight).tolist(),
     }
-    if log.per_task_explained_variance is not None:
+    if not is_classification:
         summary["per_task_explained_variance"] = [
-            float(x) for x in log.per_task_explained_variance
+            float(x) for x in explained_variance(predict(final, test), test.targets)
         ]
     with open(path, "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
@@ -527,10 +520,12 @@ def summarize(run_directory) -> Path:
         raise EmptyDirectory(f"no *_summary.json files under {run_dir}")
     summaries = []
     for p in paths:
-        with open(p) as f:
-            s = json.load(f)
-        if s.get("schema") != SUMMARY_SCHEMA:
-            raise SchemaMismatch(f"{p}: schema {s.get('schema')!r}")
+        try:
+            s = json.loads(p.read_text())
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise SchemaMismatch(f"{p}: not valid JSON: {e}") from None
+        if not isinstance(s, dict) or s.get("schema") != SUMMARY_SCHEMA:
+            raise SchemaMismatch(f"{p}: not an {SUMMARY_SCHEMA!r} summary")
         summaries.append(s)
 
     metric_names = {s["metric_name"] for s in summaries}
@@ -594,12 +589,15 @@ def export_correlation(run_directory, layer_index: int) -> list[Path]:
         raise MissingWeights(f"no *_weights.npz files under {run_dir}")
     written = []
     for wf in weight_files:
-        with np.load(wf) as z:
-            key = f"weight_{layer_index}"
-            if key not in z:
-                raise MissingWeights(f"{wf}: no saved layer {layer_index}")
-            w = z[key]
-            kind = str(z["dataset_kind"])
+        try:
+            with np.load(wf) as z:
+                key = f"weight_{layer_index}"
+                if key not in z:
+                    raise MissingWeights(f"{wf}: no saved layer {layer_index}")
+                w = z[key]
+                kind = str(z["dataset_kind"])
+        except (BadZipFile, EOFError, KeyError, OSError, ValueError) as e:
+            raise MissingWeights(f"{wf}: unreadable weights file: {e}") from None
         corr = correlation_matrix(w)
         prefix = "class" if kind == DatasetKind.CLASSIFICATION else "task"
         labels = [f"{prefix}_{i}" for i in range(corr.shape[0])]

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     CountMismatch,
+    DataError,
     ParseError,
     RaggedRows,
     SizeTooLarge,
@@ -112,6 +113,16 @@ class SyntheticMultitaskSpec:
             raise ValueError("task_correlation must lie in [0, 1)")
         if self.noise_std <= 0.0:
             raise ValueError("noise_std must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+def _open(path: Path, mode: str, **kwargs):
+    """``open`` that reports a missing or unreadable file as a DataError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
 
 
 def _read_be_u32(f, path, what: str) -> int:
@@ -129,7 +140,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     """
     images_path = Path(images_path)
     labels_path = Path(labels_path)
-    with open(images_path, "rb") as f:
+    with _open(images_path, "rb") as f:
         magic = _read_be_u32(f, images_path, "magic number")
         if magic != IMAGES_MAGIC:
             raise BadMagic(
@@ -147,7 +158,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(payload[:expected], dtype=np.uint8)
     inputs = pixels.reshape(count, rows * cols).astype(float) / 255.0
 
-    with open(labels_path, "rb") as f:
+    with _open(labels_path, "rb") as f:
         magic = _read_be_u32(f, labels_path, "magic number")
         if magic != LABELS_MAGIC:
             raise BadMagic(
@@ -209,7 +220,7 @@ def load_csv_regression(path, num_targets: int) -> Dataset:
     path = Path(path)
     if num_targets < 1:
         raise ValueError("num_targets must be >= 1")
-    with open(path, newline="") as f:
+    with _open(path, "r", newline="") as f:
         rows = [
             (i, [cell.strip() for cell in row])
             for i, row in enumerate(csv.reader(f))

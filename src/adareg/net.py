@@ -30,6 +30,7 @@ __all__ = [
     "ForwardCache",
     "Gradients",
     "forward",
+    "loss_from_outputs",
     "loss_value",
     "backward",
     "sgd_step",
@@ -226,7 +227,8 @@ def forward(
     return a, cache
 
 
-def _loss_from_outputs(net: Network, outputs: np.ndarray, targets) -> float:
+def loss_from_outputs(net: Network, outputs: np.ndarray, targets) -> float:
+    """Mean loss of already computed network outputs against their targets."""
     n = outputs.shape[0]
     if net.loss is LossKind.SOFTMAX_CROSS_ENTROPY:
         y = np.asarray(targets)
@@ -252,7 +254,7 @@ def _loss_from_outputs(net: Network, outputs: np.ndarray, targets) -> float:
 def loss_value(net: Network, batch: Batch) -> float:
     """Mean loss of the network on one batch (evaluation mode, no dropout)."""
     outputs, _ = forward(net, batch.inputs)
-    return _loss_from_outputs(net, outputs, batch.targets)
+    return loss_from_outputs(net, outputs, batch.targets)
 
 
 def _output_delta(net: Network, outputs: np.ndarray, targets) -> np.ndarray:
@@ -332,9 +334,3 @@ def sgd_step(
         new_layers.append(replace(layer, weight=w, bias=b))
     return replace(net, layers=tuple(new_layers))
 
-
-def accuracy(net: Network, batch: Batch) -> float:
-    """Fraction of argmax predictions matching integer class targets."""
-    outputs, _ = forward(net, batch.inputs)
-    pred = outputs.argmax(axis=1)
-    return float(np.mean(pred == np.asarray(batch.targets).astype(int)))

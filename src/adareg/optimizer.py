@@ -12,11 +12,15 @@ Each solve minimizes its subproblem exactly, so the precision step can
 never increase the full objective.  With bounds pinned at u = v = 1 the
 precisions stay at the identity and the whole procedure degenerates to SGD
 with weight decay 2*lambda.
+
+Each evaluation runs the network once: ``evaluate`` and ``full_objective``
+derive the loss (and the metric) from the outputs of one ``predict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from . import net as net_mod
 from .data import Dataset, DatasetKind, batches
 from .diagnostics import explained_variance
 from .errors import Diverged
-from .net import Batch, Network
+from .net import Network, loss_from_outputs
 from .prior import PrecisionPair, regularizer_grad, regularizer_value
 from .spectral import SpectralBounds, SymMatrix, inv_threshold
 
@@ -103,59 +107,53 @@ class EpochRecord:
 
 @dataclass
 class MetricLog:
-    """Per-epoch metrics plus end-of-run diagnostics.
-
-    ``wall_seconds`` is measured, not derived from the config, so it never
-    enters serialized metric files (those must be byte-reproducible).
-    """
+    """Per-epoch metrics of one run, in epoch order."""
 
     records: list[EpochRecord] = field(default_factory=list)
-    spectrum_per_layer: list[dict] = field(default_factory=list)
-    correlation: np.ndarray | None = None
-    per_task_explained_variance: np.ndarray | None = None
-    wall_seconds: float = 0.0
+
+
+def _penalized(loss, net: Network, precisions: PrecisionPair, lam: float) -> float:
+    """``loss`` plus the prior penalty on the regularized weight (none at lam 0)."""
+    if lam == 0.0:
+        return loss
+    return loss + regularizer_value(net.regularized_weight, precisions, lam)
 
 
 def full_objective(state: AdaRegState, dataset: Dataset) -> float:
     """Dataset loss plus the prior penalty on the regularized weight."""
-    loss = _dataset_loss(state.net, dataset)
-    if state.lam == 0.0:
-        return loss
-    return loss + regularizer_value(
-        state.net.regularized_weight, state.precisions, state.lam
-    )
+    outputs = predict(state.net, dataset)
+    loss = _chunked_mean(partial(loss_from_outputs, state.net), outputs, dataset)
+    return _penalized(loss, state.net, state.precisions, state.lam)
 
 
-def _dataset_loss(network: Network, dataset: Dataset) -> float:
-    """Mean loss over a dataset, evaluated in bounded-size chunks."""
+def _chunked_mean(score, outputs: np.ndarray, dataset: Dataset) -> float:
+    """Row-weighted mean of ``score(outputs, targets)`` over EVAL_CHUNK-row
+    slices: each slice's mean times its size, summed, divided by n.  That
+    order of summation is part of the byte-reproducible metrics."""
     total = 0.0
     for lo in range(0, dataset.n, EVAL_CHUNK):
-        batch = Batch(
-            dataset.inputs[lo : lo + EVAL_CHUNK],
-            dataset.targets[lo : lo + EVAL_CHUNK],
-        )
-        total += net_mod.loss_value(network, batch) * batch.size
+        out = outputs[lo : lo + EVAL_CHUNK]
+        total += score(out, dataset.targets[lo : lo + EVAL_CHUNK]) * out.shape[0]
     return total / dataset.n
 
 
+def _accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(outputs.argmax(axis=1) == labels))
+
+
 def evaluate(network: Network, dataset: Dataset) -> tuple[float, float]:
-    """(mean loss, headline metric): accuracy for classification, mean
-    explained variance across tasks for regression."""
-    loss = _dataset_loss(network, dataset)
+    """(mean loss, headline metric) from one ``predict`` over the dataset:
+    argmax accuracy for classification, mean explained variance across
+    tasks for regression."""
+    outputs = predict(network, dataset)
+    loss = _chunked_mean(partial(loss_from_outputs, network), outputs, dataset)
     if dataset.kind == DatasetKind.CLASSIFICATION:
-        hits = 0.0
-        for lo in range(0, dataset.n, EVAL_CHUNK):
-            batch = Batch(
-                dataset.inputs[lo : lo + EVAL_CHUNK],
-                dataset.targets[lo : lo + EVAL_CHUNK],
-            )
-            hits += net_mod.accuracy(network, batch) * batch.size
-        return loss, hits / dataset.n
-    preds = predict(network, dataset)
-    return loss, float(np.mean(explained_variance(preds, dataset.targets)))
+        return loss, _chunked_mean(_accuracy, outputs, dataset)
+    return loss, float(np.mean(explained_variance(outputs, dataset.targets)))
 
 
 def predict(network: Network, dataset: Dataset) -> np.ndarray:
+    """Network outputs for every row, computed in EVAL_CHUNK-row chunks."""
     chunks = []
     for lo in range(0, dataset.n, EVAL_CHUNK):
         out, _ = net_mod.forward(network, dataset.inputs[lo : lo + EVAL_CHUNK])
@@ -256,26 +254,22 @@ def run_adareg(
     """
     state = AdaRegState.initial(network, bounds, lam)
     log = MetricLog()
-    epoch_counter = 0
 
-    def record(current: Network, outer: int, precisions: PrecisionPair):
-        nonlocal epoch_counter
+    def record(current: Network, _epoch: int) -> None:
+        # Runs inside train_block, so ``state`` is still the pre-block state.
+        epoch = len(log.records)
         train_loss, train_metric = evaluate(current, dataset)
-        objective = train_loss
-        if lam > 0.0:
-            objective += regularizer_value(
-                current.regularized_weight, precisions, lam
-            )
+        objective = _penalized(train_loss, current, state.precisions, lam)
         if test_dataset is not None:
             test_loss, test_metric = evaluate(current, test_dataset)
         else:
             test_loss, test_metric = train_loss, train_metric
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
-            raise Diverged(f"loss became non-finite at epoch {epoch_counter}")
+            raise Diverged(f"loss became non-finite at epoch {epoch}")
         log.records.append(
             EpochRecord(
-                epoch_counter,
-                outer,
+                epoch,
+                state.outer_iter,
                 train_loss,
                 objective,
                 test_loss,
@@ -283,7 +277,6 @@ def run_adareg(
                 test_metric,
             )
         )
-        epoch_counter += 1
 
     for _ in range(schedule.outer_loops):
         state = train_block(
@@ -293,9 +286,7 @@ def run_adareg(
             seed,
             weight_decay,
             dropout_rate,
-            epoch_callback=lambda n, _e, o=state.outer_iter, pp=state.precisions: record(
-                n, o, pp
-            ),
+            epoch_callback=record,
         )
         if lam > 0.0:
             state = update_precisions(state)

@@ -162,7 +162,20 @@ class TestConfigValidation:
         (("seeds",), [True]),
         (("training_sizes",), [True]),
         (("regularized_layer_index",), 5),
+        (("dataset", "task_correlation"), 1.0),
+        (("dataset", "noise_std"), 0),
+        (("dataset", "n_train"), "64"),
+        (("dataset", "n_train"), 64.7),
+        (("dataset", "num_targets"), "x"),
+        (("dataset", "seed"), -1),
     ]
+    # A dataset block for the keys only the CSV kind reads.
+    CSV_DATASET = {
+        "kind": "csv_regression",
+        "train_path": "train.csv",
+        "test_path": "test.csv",
+        "num_targets": 2,
+    }
 
     @pytest.mark.parametrize(
         "path, value", BAD_VALUES, ids=[path[-1] for path, _ in BAD_VALUES]
@@ -171,6 +184,8 @@ class TestConfigValidation:
         self, tmp_path, capsys, path, value
     ):
         raw = _synth_config(tmp_path / "runs")
+        if path[0] == "dataset" and path[-1] in self.CSV_DATASET:
+            raw["dataset"] = dict(self.CSV_DATASET)
         where = raw
         for key in path[:-1]:
             where = where[key]
@@ -181,6 +196,15 @@ class TestConfigValidation:
         p.write_text(json.dumps(raw))
         assert main(["validate", str(p)]) == 1
         assert path[-1] in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_dict(5)
+        p = tmp_path / "cfg.json"
+        p.write_text("5")
+        for command in ("validate", "run"):
+            assert main([command, str(p)]) == 1
+            assert "error: config must be a JSON object" in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -252,6 +276,17 @@ class TestRunExperiment:
             assert z["weight_1"].shape == (10, 8)
             assert "omega_r" in z and "sigma_c" in z
 
+    def test_missing_dataset_file_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        cfg = _idx_config(tmp_path, tmp_path / "runs")
+        cfg["dataset"]["train_images"] = "no-such-images"
+        monkeypatch.setenv("ADAREG_DATA_DIR", str(tmp_path))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 0
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'no-such-images'}: cannot read" in err
+
     def test_architecture_dataset_mismatch(self, tmp_path):
         out = tmp_path / "runs"
         raw = _synth_config(out)
@@ -310,6 +345,19 @@ class TestSummarize:
         with pytest.raises(SchemaMismatch):
             summarize(tmp_path)
 
+    def test_truncated_summary(self, tmp_path):
+        out = tmp_path / "runs"
+        run_experiment(ExperimentConfig.from_dict(_synth_config(out, methods=["none"])))
+        path = out / "none_n32_s0_summary.json"
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(SchemaMismatch, match="none_n32_s0_summary.json"):
+            summarize(out)
+
+    def test_summary_that_is_not_an_object(self, tmp_path):
+        (tmp_path / "x_summary.json").write_text("[1, 2]")
+        with pytest.raises(SchemaMismatch, match="x_summary.json"):
+            summarize(tmp_path)
+
 
 class TestExportCorrelation:
     def test_classification_export(self, tmp_path):
@@ -346,6 +394,14 @@ class TestExportCorrelation:
     def test_missing_weights(self, tmp_path):
         with pytest.raises(MissingWeights):
             export_correlation(tmp_path, layer_index=0)
+
+    def test_truncated_weights(self, tmp_path):
+        out = tmp_path / "runs"
+        run_experiment(ExperimentConfig.from_dict(_synth_config(out, methods=["none"])))
+        path = out / "none_n32_s0_weights.npz"
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(MissingWeights, match="none_n32_s0_weights.npz"):
+            export_correlation(out, layer_index=1)
 
     def test_missing_layer_index(self, tmp_path):
         out = tmp_path / "runs"

@@ -10,9 +10,20 @@ import sys
 import numpy as np
 import pytest
 
+from adareg import net as net_mod
 from adareg.data import Dataset, DatasetKind
-from adareg.net import Activation, DenseLayer, LossKind, Network, backward
+from adareg.diagnostics import explained_variance
+from adareg.net import (
+    Activation,
+    Batch,
+    DenseLayer,
+    LossKind,
+    Network,
+    backward,
+    loss_value,
+)
 from adareg.optimizer import (
+    EVAL_CHUNK,
     AdaRegState,
     BcdSchedule,
     evaluate,
@@ -200,6 +211,71 @@ class TestOneDecompositionPerSolve:
         with pytest.raises(ValueError, match="omega_c spectrum"):
             PrecisionPair(SymMatrix(np.eye(2)), SymMatrix(np.diag([1.0, 0.05])), B10)
         assert eigh_calls  # raw matrices carry no spectrum to trust
+
+
+class TestOneForwardPassPerEvaluation:
+    """evaluate and full_objective run the network once per EVAL_CHUNK rows
+    and match the former loss-pass-plus-metric-pass arithmetic bit for bit."""
+
+    N = 2 * EVAL_CHUNK + 5
+
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        """Rows passed to each call of adareg.net.forward."""
+        calls = []
+        original = net_mod.forward
+
+        def counting(network, inputs, *args):
+            calls.append(len(inputs))
+            return original(network, inputs, *args)
+
+        monkeypatch.setattr(net_mod, "forward", counting)
+        return calls
+
+    def _fixture(self, kind):
+        if kind == DatasetKind.REGRESSION:
+            dataset = _toy_regression(n=self.N, d=3, t=2, seed=4)
+            return dataset, Network.init([3, 5, 2], LossKind.SQUARED_ERROR, seed=5)
+        dataset = _toy_classification(n=self.N, d=6, k=4, seed=6)
+        return dataset, Network.init([6, 8, 4], LossKind.SOFTMAX_CROSS_ENTROPY, seed=7)
+
+    @staticmethod
+    def _two_pass_oracle(network, dataset):
+        loss = hits = 0.0
+        chunks = []
+        for lo in range(0, dataset.n, EVAL_CHUNK):
+            batch = Batch(
+                dataset.inputs[lo : lo + EVAL_CHUNK],
+                dataset.targets[lo : lo + EVAL_CHUNK],
+            )
+            loss += loss_value(network, batch) * batch.size
+            out, _ = net_mod.forward(network, batch.inputs)
+            chunks.append(out)
+            if dataset.kind == DatasetKind.CLASSIFICATION:
+                hit = out.argmax(axis=1) == batch.targets
+                hits += float(np.mean(hit)) * batch.size
+        if dataset.kind == DatasetKind.CLASSIFICATION:
+            return loss / dataset.n, hits / dataset.n
+        outputs = np.concatenate(chunks)
+        ev = float(np.mean(explained_variance(outputs, dataset.targets)))
+        return loss / dataset.n, ev
+
+    @pytest.mark.parametrize("kind", [DatasetKind.CLASSIFICATION, DatasetKind.REGRESSION])
+    def test_evaluate_makes_one_pass(self, forward_calls, kind):
+        dataset, network = self._fixture(kind)
+        got = evaluate(network, dataset)
+        assert forward_calls == [EVAL_CHUNK, EVAL_CHUNK, 5]
+        assert got == self._two_pass_oracle(network, dataset)
+
+    @pytest.mark.parametrize("kind", [DatasetKind.CLASSIFICATION, DatasetKind.REGRESSION])
+    def test_full_objective_makes_one_pass(self, forward_calls, kind):
+        dataset, network = self._fixture(kind)
+        state = AdaRegState.initial(network, B10, 0.05)
+        got = full_objective(state, dataset)
+        assert forward_calls == [EVAL_CHUNK, EVAL_CHUNK, 5]
+        loss, _ = self._two_pass_oracle(network, dataset)
+        penalty = regularizer_value(network.regularized_weight, state.precisions, 0.05)
+        assert got == loss + penalty
 
 
 class TestTrainBlock:
