@@ -163,13 +163,17 @@ class ExperimentConfig:
             raise ConfigError("dataset['num_targets'] must be >= 1")
         if kind == "synthetic_multitask":
             try:
-                _synthetic_spec(dataset)
+                spec = _synthetic_spec(dataset)
             except ValueError as e:
                 raise ConfigError(f"dataset: {e}") from None
         arch = need("architecture", dict)
         sizes = need("layer_sizes", list, arch, "architecture")
         if len(sizes) < 2 or not all(is_int(s) and s >= 1 for s in sizes):
             raise ConfigError("layer_sizes must be >= 2 positive integers")
+        if kind == "synthetic_multitask":
+            _check_dims(sizes, spec.input_dim, spec.num_tasks)
+        elif kind == "csv_regression":
+            _check_dims(sizes, None, dataset["num_targets"])
 
         methods = tuple(need("methods", list))
         if not methods:
@@ -309,6 +313,32 @@ def _load_base_cached(dataset_json: str) -> tuple[Dataset, Dataset]:
     return train, test
 
 
+def _check_dims(layer_sizes, input_dim: int | None, target_columns: int | None) -> None:
+    """Raise ConfigError when the input dim or the regression target column
+    count, where known, does not match the architecture's ends."""
+    if input_dim is not None and input_dim != layer_sizes[0]:
+        raise ConfigError(
+            f"architecture expects input dim {layer_sizes[0]}, dataset has {input_dim}"
+        )
+    if target_columns is not None and target_columns != layer_sizes[-1]:
+        raise ConfigError(
+            f"{target_columns} target columns but output dim {layer_sizes[-1]}"
+        )
+
+
+def _loss_kind(config: ExperimentConfig, train: Dataset) -> LossKind:
+    """The loss for ``train``'s kind; raises ConfigError when the
+    architecture does not fit the data."""
+    sizes = config.layer_sizes
+    if train.kind != DatasetKind.CLASSIFICATION:
+        _check_dims(sizes, train.inputs.shape[1], train.targets.shape[1])
+        return LossKind.SQUARED_ERROR
+    _check_dims(sizes, train.inputs.shape[1], None)
+    if train.num_classes > sizes[-1]:
+        raise ConfigError(f"{train.num_classes} classes exceed output dim {sizes[-1]}")
+    return LossKind.SOFTMAX_CROSS_ENTROPY
+
+
 def _method_knobs(config: ExperimentConfig, method: str, p: int, d: int):
     """Map a method name to (lambda, weight_decay, dropout_rate)."""
     lam = config.lam if config.lam is not None else 1.0 / (2.0 * p * d)
@@ -332,6 +362,7 @@ def _run_cell(
     out_dir: Path,
 ) -> str:
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
+    loss = _loss_kind(config, train_full)
     if size is None or size == train_full.n:
         train = subsample(train_full, train_full.n, [seed, 101])
     else:
@@ -341,25 +372,6 @@ def _run_cell(
             [seed, 101],
             stratified=train_full.kind == DatasetKind.CLASSIFICATION,
         )
-
-    if train.inputs.shape[1] != config.layer_sizes[0]:
-        raise ConfigError(
-            f"architecture expects input dim {config.layer_sizes[0]}, dataset "
-            f"has {train.inputs.shape[1]}"
-        )
-    out_dim = config.layer_sizes[-1]
-    if train.kind == DatasetKind.CLASSIFICATION:
-        loss = LossKind.SOFTMAX_CROSS_ENTROPY
-        if train_full.num_classes > out_dim:
-            raise ConfigError(
-                f"{train_full.num_classes} classes exceed output dim {out_dim}"
-            )
-    else:
-        loss = LossKind.SQUARED_ERROR
-        if train.targets.shape[1] != out_dim:
-            raise ConfigError(
-                f"{train.targets.shape[1]} target columns but output dim {out_dim}"
-            )
 
     network = Network.init(
         list(config.layer_sizes),
@@ -474,8 +486,11 @@ def run_experiment(
 
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
-    exits).
+    exits).  The data are loaded and checked against the architecture before
+    anything is written.
     """
+    train_full, _ = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
+    _loss_kind(config, train_full)
     seeds = seed_override if seed_override else config.seeds
     out_dir = Path(output_override or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

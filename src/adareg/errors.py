@@ -23,6 +23,10 @@ class NotPD(AdaRegError):
     eigenvalue."""
 
 
+class SpectrumOutOfBounds(AdaRegError, ValueError):
+    """A precision matrix has an eigenvalue outside its [u, v] bounds."""
+
+
 class ZeroMatrix(AdaRegError):
     """An all-zero matrix was passed where a nonzero one is required."""
 

@@ -151,24 +151,25 @@ class Batch:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """Per-layer inputs, preactivations, and dropout masks from one pass."""
+    """Each layer's input plus the dropout masks and rate: all backprop
+    reads.  A ReLU mask comes from the layer's output, not its preactivation."""
 
+    layers: tuple[DenseLayer, ...]
     layer_inputs: tuple[np.ndarray, ...]
-    preactivations: tuple[np.ndarray, ...]
     dropout_masks: tuple[np.ndarray | None, ...]
     dropout_rate: float
+
+    @property
+    def preactivations(self) -> tuple[np.ndarray, ...]:
+        """Each layer's ``x @ W.T + b``, recomputed from the stored inputs."""
+        pairs = zip(self.layer_inputs, self.layers)
+        return tuple(x @ layer.weight.T + layer.bias for x, layer in pairs)
 
 
 @dataclass(frozen=True)
 class Gradients:
     weight: tuple[np.ndarray, ...]
     bias: tuple[np.ndarray, ...]
-
-
-def _activate(z: np.ndarray, kind: Activation) -> np.ndarray:
-    if kind is Activation.RELU:
-        return np.maximum(z, 0.0)
-    return z
 
 
 def apply_dropout(activations: np.ndarray, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +194,8 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network, returning outputs and the caches backprop needs.
 
+    Each layer allocates one array, the matmul's output, and adds the bias
+    and applies ReLU to it in place; ``inputs`` is never written to.
     Dropout (training only) applies to hidden activations when
     ``dropout_rate > 0`` and a generator is supplied; the final layer's
     outputs are never dropped.
@@ -204,23 +207,23 @@ def forward(
         )
     use_dropout = dropout_rate > 0.0 and dropout_rng is not None
     layer_inputs = []
-    preacts = []
     masks: list[np.ndarray | None] = []
     a = x
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         layer_inputs.append(a)
-        z = a @ layer.weight.T + layer.bias
-        preacts.append(z)
-        a = _activate(z, layer.activation)
+        a = a @ layer.weight.T
+        a += layer.bias
+        if layer.activation is Activation.RELU:
+            np.maximum(a, 0.0, out=a)
         if use_dropout and i < last:
             a, mask = apply_dropout(a, dropout_rate, dropout_rng)
             masks.append(mask)
         else:
             masks.append(None)
     cache = ForwardCache(
+        net.layers,
         tuple(layer_inputs),
-        tuple(preacts),
         tuple(masks),
         dropout_rate if use_dropout else 0.0,
     )
@@ -282,10 +285,13 @@ def backward(
     """Exact gradients of the batch loss for every weight and bias.
 
     Runs its own forward pass (with dropout when configured) and
-    backpropagates through the cached preactivations and masks.
+    backpropagates through the cached inputs and masks.  A ReLU mask is
+    ``output > 0``, which equals ``preactivation > 0`` wherever dropout kept
+    the unit; where it dropped the unit, delta is already +-0 either way.
     """
     outputs, cache = forward(net, batch.inputs, dropout_rate, dropout_rng)
     delta = _output_delta(net, outputs, batch.targets)
+    layer_outputs = cache.layer_inputs[1:] + (outputs,)
 
     weight_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore
     bias_grads: list[np.ndarray] = [None] * len(net.layers)  # type: ignore
@@ -295,7 +301,7 @@ def backward(
         if cache.dropout_masks[i] is not None:
             delta = delta * cache.dropout_masks[i] / (1.0 - cache.dropout_rate)
         if layer.activation is Activation.RELU:
-            delta = delta * (cache.preactivations[i] > 0.0)
+            delta = delta * (layer_outputs[i] > 0.0)
         weight_grads[i] = delta.T @ cache.layer_inputs[i]
         bias_grads[i] = delta.sum(axis=0)
         if i > 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPD
+from .errors import DimensionMismatch, NotPD, SpectrumOutOfBounds
 from .spectral import EigenDecomposition, SpectralBounds, SymMatrix
 
 __all__ = [
@@ -72,10 +72,10 @@ class PrecisionPair:
     """Row/column precision matrices constrained to spectra in [u, v].
 
     These are the inverse covariances of the corresponding
-    :class:`MatrixNormalPrior`.  Construction verifies the spectrum bounds
-    (within 1e-8 slack) on each precision's spectrum: the one a solve
-    attached to it, or a fresh decomposition for a raw matrix.
-    Log-determinants and inversion then read that spectrum.
+    :class:`MatrixNormalPrior`.  Construction checks each precision's
+    spectrum against [u, v] (1e-8 slack; SpectrumOutOfBounds otherwise):
+    the spectrum a solve attached to it, or a fresh decomposition for a raw
+    matrix.  Log-determinants and inversion then read that spectrum.
     """
 
     omega_r: SymMatrix
@@ -90,7 +90,7 @@ class PrecisionPair:
         for name, omega in (("omega_r", self.omega_r), ("omega_c", self.omega_c)):
             vals = omega.spectrum().eigenvalues
             if vals[-1] < lo or vals[0] > hi:
-                raise ValueError(
+                raise SpectrumOutOfBounds(
                     f"{name} spectrum [{vals[-1]:.6g}, {vals[0]:.6g}] leaves "
                     f"[{self.bounds.u:.6g}, {self.bounds.v:.6g}]"
                 )

@@ -197,6 +197,27 @@ class TestConfigValidation:
         assert main(["validate", str(p)]) == 1
         assert path[-1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dataset, layer_sizes, message",
+        [
+            ({}, [5, 6, 2], "input dim"),
+            ({}, [4, 6, 3], "output dim"),
+            (CSV_DATASET, [4, 6, 3], "output dim"),
+        ],
+        ids=["synthetic_input", "synthetic_output", "csv_output"],
+    )
+    def test_architecture_mismatch_rejected_by_validate(
+        self, tmp_path, capsys, dataset, layer_sizes, message
+    ):
+        raw = _synth_config(tmp_path / "runs")
+        if dataset:
+            raw["dataset"] = dict(dataset)
+        raw["architecture"]["layer_sizes"] = layer_sizes
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["validate", str(p)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="JSON object"):
             ExperimentConfig.from_dict(5)
@@ -286,6 +307,24 @@ class TestRunExperiment:
         assert main(["run", str(p)]) == 1
         err = capsys.readouterr().err
         assert f"error: {tmp_path / 'no-such-images'}: cannot read" in err
+
+    @pytest.mark.parametrize(
+        "layer_sizes, message",
+        [([783, 8, 10], "input dim"), ([784, 8, 9], "classes exceed output dim")],
+        ids=["input", "classes"],
+    )
+    def test_mismatch_found_before_any_file_is_written(
+        self, tmp_path, capsys, layer_sizes, message
+    ):
+        out = tmp_path / "runs"
+        cfg = _idx_config(tmp_path, out)
+        cfg["architecture"]["layer_sizes"] = layer_sizes
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 0  # IDX shapes are known only on load
+        assert main(["run", str(p)]) == 1
+        assert message in capsys.readouterr().err
+        assert list(out.glob("*")) == []
 
     def test_architecture_dataset_mismatch(self, tmp_path):
         out = tmp_path / "runs"

@@ -6,10 +6,12 @@ numpy's SVD.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from adareg.data import Dataset, DatasetKind
 from adareg.errors import DimensionMismatch, Diverged
 from adareg.net import (
     Activation,
@@ -24,6 +26,7 @@ from adareg.net import (
     loss_value,
     sgd_step,
 )
+from adareg.optimizer import evaluate
 
 
 def _flatten_params(net):
@@ -130,6 +133,50 @@ class TestForward:
             forward(net, np.zeros((1, 4)))
 
 
+class TestForwardMemory:
+    """One (2000, 64) hidden array per evaluation: the matmul output takes the
+    bias and ReLU in place.  tracemalloc counts numpy's buffers, so the bound
+    holds whatever the allocator does with freed memory."""
+
+    HIDDEN_BYTES = 2000 * 64 * 8
+
+    @pytest.fixture
+    def net_and_data(self):
+        rng = np.random.default_rng(20)
+        net = Network.init([21, 64, 7], LossKind.SQUARED_ERROR, seed=21)
+        data = Dataset(
+            rng.normal(size=(2000, 21)),
+            rng.normal(size=(2000, 7)),
+            DatasetKind.REGRESSION,
+        )
+        return net, data
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_forward_holds_one_hidden_array(self, net_and_data):
+        net, data = net_and_data
+        peak = self._peak_bytes(lambda: forward(net, data.inputs))
+        assert peak < 1.5 * self.HIDDEN_BYTES
+
+    def test_evaluate_holds_one_hidden_array(self, net_and_data):
+        net, data = net_and_data
+        peak = self._peak_bytes(lambda: evaluate(net, data))
+        assert peak < 1.5 * self.HIDDEN_BYTES
+
+    def test_inputs_are_not_written(self, net_and_data):
+        net, data = net_and_data
+        x = data.inputs.copy()
+        forward(net, data.inputs, 0.25, np.random.default_rng(0))
+        np.testing.assert_array_equal(data.inputs, x)
+
+
 class TestLossValue:
     def test_perfect_regression_is_zero(self):
         net = Network(
@@ -203,6 +250,55 @@ class TestBackward:
         want = _fd_gradient(net, batch)
         rel = np.abs(got - want).max() / max(np.abs(want).max(), 1e-10)
         assert rel < 1e-5
+
+
+def _preactivation_mask_gradients(net, batch, dropout_rate, dropout_rng):
+    """Backprop that keeps every preactivation and takes each ReLU mask
+    from ``z > 0``, written out step by step with forward's arithmetic."""
+    a, inputs, preacts, masks = batch.inputs, [], [], []
+    for i, layer in enumerate(net.layers):
+        inputs.append(a)
+        z = a @ layer.weight.T + layer.bias
+        preacts.append(z)
+        a = np.maximum(z, 0.0) if layer.activation is Activation.RELU else z
+        mask = None
+        if dropout_rate > 0.0 and i < len(net.layers) - 1:
+            a, mask = apply_dropout(a, dropout_rate, dropout_rng)
+        masks.append(mask)
+    delta = (a - batch.targets) / a.shape[0]
+    weight_grads, bias_grads = [], []
+    for i in range(len(net.layers) - 1, -1, -1):
+        if masks[i] is not None:
+            delta = delta * masks[i] / (1.0 - dropout_rate)
+        if net.layers[i].activation is Activation.RELU:
+            delta = delta * (preacts[i] > 0.0)
+        weight_grads.insert(0, delta.T @ inputs[i])
+        bias_grads.insert(0, delta.sum(axis=0))
+        delta = delta @ net.layers[i].weight
+    return weight_grads, bias_grads
+
+
+class TestReluMaskFromOutputs:
+    """backward reads each ReLU mask off the layer's output; the gradients
+    equal, bit for bit, those of masks taken from the preactivations."""
+
+    @pytest.mark.parametrize("last", [Activation.IDENTITY, Activation.RELU])
+    @pytest.mark.parametrize("rate", [0.0, 0.25])
+    def test_same_bits_as_preactivation_masks(self, rate, last):
+        rng = np.random.default_rng(30)
+        net = Network.init([5, 8, 6, 3], LossKind.SQUARED_ERROR, seed=31)
+        top = net.layers[-1]
+        net = Network(
+            net.layers[:-1] + (DenseLayer(top.weight, top.bias, last),),
+            LossKind.SQUARED_ERROR,
+        )
+        batch = Batch(rng.normal(size=(40, 5)), rng.normal(size=(40, 3)))
+        got = backward(net, batch, rate, np.random.default_rng(32))
+        want_w, want_b = _preactivation_mask_gradients(
+            net, batch, rate, np.random.default_rng(32)
+        )
+        for g, w in zip(got.weight + got.bias, want_w + want_b):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestSgdStep:

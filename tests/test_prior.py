@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from adareg.errors import DimensionMismatch, NotPD
+from adareg.errors import AdaRegError, DimensionMismatch, NotPD, SpectrumOutOfBounds
 from adareg.prior import (
     MatrixNormalPrior,
     PrecisionPair,
@@ -65,6 +65,12 @@ class TestTypes:
     def test_precision_pair_rejects_out_of_bounds_spectrum(self):
         with pytest.raises(ValueError):
             PrecisionPair(SymMatrix(3.0 * np.eye(2)), SymMatrix(np.eye(2)), B)
+
+    def test_out_of_bounds_spectrum_is_a_typed_error(self):
+        with pytest.raises(SpectrumOutOfBounds, match="omega_c spectrum") as info:
+            PrecisionPair(SymMatrix(np.eye(2)), SymMatrix(0.1 * np.eye(2)), B)
+        assert isinstance(info.value, AdaRegError)
+        assert isinstance(info.value, ValueError)
 
     def test_identity_pair(self):
         pair = PrecisionPair.identity(3, 4, B)

@@ -325,6 +325,52 @@ class TestInvThreshold:
                 assert ours <= precision_objective(z, delta, m) + 1e-6
 
 
+class TestConeProperties:
+    """Seeded random matrices of every size from 1 to 12, across bounds."""
+
+    BOUNDS = [SpectralBounds.from_v(v) for v in (1.0, 2.0, 10.0)]
+
+    @staticmethod
+    def _cases(seed):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 13):
+            for bounds in TestConeProperties.BOUNDS:
+                yield rng, n, bounds
+
+    @staticmethod
+    def _assert_in_cone(out, bounds):
+        np.testing.assert_array_equal(out.entries, out.entries.T)
+        vals = np.linalg.eigvalsh(out.entries)
+        assert vals.min() >= bounds.u - 1e-10 and vals.max() <= bounds.v + 1e-10
+
+    def test_inv_threshold_lands_in_cone(self):
+        for rng, n, bounds in self._cases(40):
+            delta = random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
+            m = int(rng.integers(1, 20))
+            self._assert_in_cone(inv_threshold(delta, m, bounds), bounds)
+
+    def test_project_to_cone_lands_in_cone(self):
+        for rng, n, bounds in self._cases(41):
+            a = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 20.0)))
+            self._assert_in_cone(project_to_cone(a, bounds), bounds)
+
+    def test_inv_threshold_returns_an_admissible_inverse(self):
+        # m * omega^{-1} with omega in the cone: the minimizer is omega itself.
+        for rng, n, bounds in self._cases(42):
+            omega = random_feasible(rng, n, bounds.u, bounds.v)
+            m = int(rng.integers(1, 20))
+            out = inv_threshold(m * np.linalg.inv(omega), m, bounds).entries
+            np.testing.assert_allclose(out, omega, rtol=0.0, atol=1e-10)
+
+    def test_project_to_cone_is_idempotent(self):
+        for rng, n, bounds in self._cases(43):
+            once = project_to_cone(random_symmetric(rng, n, scale=5.0), bounds)
+            twice = project_to_cone(once.entries, bounds)
+            np.testing.assert_allclose(
+                twice.entries, once.entries, rtol=0.0, atol=1e-10
+            )
+
+
 class TestSubproblemObjective:
     def test_identity_omega(self):
         assert subproblem_objective(np.eye(2), np.diag([4.0, 1.0]), 2) == pytest.approx(5.0)
