@@ -1,0 +1,8 @@
+"""``python -m adareg``: the command-line harness (see ``adareg.cli``)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

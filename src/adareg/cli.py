@@ -33,9 +33,12 @@ import numpy as np
 from .data import (
     Dataset,
     DatasetKind,
+    IdxSplit,
     SyntheticMultitaskSpec,
     load_csv_regression,
     load_idx,
+    pick_rows,
+    read_idx,
     standardize_inputs,
     subsample,
     synth_multitask,
@@ -73,7 +76,7 @@ METHODS = (
 SUMMARY_SCHEMA = "adareg-run-v1"
 
 # Per dataset kind: the keys its loader needs, then those it has defaults for
-# (besides ``standardize``, which every kind may set).
+# (besides ``standardize``, which every kind but ``mnist_idx`` may set).
 DATASET_KEYS = {
     "mnist_idx": (("train_images", "train_labels", "test_images", "test_labels"), ()),
     "csv_regression": (("train_path", "test_path", "num_targets"), ()),
@@ -158,6 +161,8 @@ class ExperimentConfig:
             if key not in dataset and key in needed:
                 raise ConfigError(f"dataset kind {kind!r} needs key {key!r}")
             need(key, DATASET_KEY_TYPES.get(key, str), dataset, "dataset", default=None)
+        if kind == "mnist_idx" and "standardize" in dataset:
+            raise ConfigError("dataset kind 'mnist_idx' takes no 'standardize' key")
         need("standardize", bool, dataset, "dataset", default=None)
         if kind == "csv_regression" and dataset["num_targets"] < 1:
             raise ConfigError("dataset['num_targets'] must be >= 1")
@@ -223,6 +228,10 @@ class ExperimentConfig:
             if not all(is_int(s) and s >= 1 for s in training_sizes):
                 raise ConfigError("training_sizes entries must be positive integers")
             training_sizes = tuple(training_sizes)
+            if kind == "synthetic_multitask" and max(training_sizes) > spec.n_train:
+                raise ConfigError(
+                    f"training size {max(training_sizes)} exceeds n_train {spec.n_train}"
+                )
 
         seeds = need("seeds", list)
         if not seeds or not all(is_int(s) and s >= 0 for s in seeds):
@@ -289,11 +298,12 @@ def _synthetic_spec(dataset: dict) -> SyntheticMultitaskSpec:
 
 
 @lru_cache(maxsize=4)
-def _load_base_cached(dataset_json: str) -> tuple[Dataset, Dataset]:
+def _load_base_cached(dataset_json: str) -> tuple[Dataset | IdxSplit, Dataset]:
+    """Training and test splits; an IDX training split stays as pixel bytes."""
     spec = json.loads(dataset_json)
     kind = spec["kind"]
     if kind == "mnist_idx":
-        train = load_idx(
+        train = read_idx(
             _resolve_path(spec["train_images"]),
             _resolve_path(spec["train_labels"]),
         )
@@ -326,14 +336,14 @@ def _check_dims(layer_sizes, input_dim: int | None, target_columns: int | None) 
         )
 
 
-def _loss_kind(config: ExperimentConfig, train: Dataset) -> LossKind:
+def _loss_kind(config: ExperimentConfig, train: Dataset | IdxSplit) -> LossKind:
     """The loss for ``train``'s kind; raises ConfigError when the
     architecture does not fit the data."""
     sizes = config.layer_sizes
     if train.kind != DatasetKind.CLASSIFICATION:
-        _check_dims(sizes, train.inputs.shape[1], train.targets.shape[1])
+        _check_dims(sizes, train.input_dim, train.targets.shape[1])
         return LossKind.SQUARED_ERROR
-    _check_dims(sizes, train.inputs.shape[1], None)
+    _check_dims(sizes, train.input_dim, None)
     if train.num_classes > sizes[-1]:
         raise ConfigError(f"{train.num_classes} classes exceed output dim {sizes[-1]}")
     return LossKind.SOFTMAX_CROSS_ENTROPY
@@ -350,6 +360,14 @@ def _method_knobs(config: ExperimentConfig, method: str, p: int, d: int):
     )
 
 
+def _cell_rows(train: Dataset | IdxSplit, size: int | None) -> tuple[int, bool]:
+    """``subsample``'s size and stratified flag for a cell of ``size`` rows
+    (None for the whole split)."""
+    if size is None or size == train.n:
+        return train.n, False
+    return size, train.kind == DatasetKind.CLASSIFICATION
+
+
 def _cell_name(method: str, size: int | None, seed: int) -> str:
     return f"{method}_n{'full' if size is None else size}_s{seed}"
 
@@ -363,15 +381,8 @@ def _run_cell(
 ) -> str:
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
     loss = _loss_kind(config, train_full)
-    if size is None or size == train_full.n:
-        train = subsample(train_full, train_full.n, [seed, 101])
-    else:
-        train = subsample(
-            train_full,
-            size,
-            [seed, 101],
-            stratified=train_full.kind == DatasetKind.CLASSIFICATION,
-        )
+    rows, stratified = _cell_rows(train_full, size)
+    train = subsample(train_full, rows, [seed, 101], stratified)
 
     network = Network.init(
         list(config.layer_sizes),
@@ -486,11 +497,14 @@ def run_experiment(
 
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
-    exits).  The data are loaded and checked against the architecture before
-    anything is written.
+    exits).  The data are loaded and checked against the architecture and
+    every training size before anything is written.
     """
     train_full, _ = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
     _loss_kind(config, train_full)
+    for size in config.training_sizes:
+        rows, stratified = _cell_rows(train_full, size)
+        pick_rows(train_full, rows, 0, stratified)  # raises SizeTooLarge
     seeds = seed_override if seed_override else config.seeds
     out_dir = Path(output_override or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

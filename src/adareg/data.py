@@ -30,11 +30,14 @@ from .net import Batch
 __all__ = [
     "DatasetKind",
     "Dataset",
+    "IdxSplit",
     "SyntheticMultitaskSpec",
+    "read_idx",
     "load_idx",
     "write_idx",
     "load_csv_regression",
     "synth_multitask",
+    "pick_rows",
     "subsample",
     "batches",
     "standardize_inputs",
@@ -90,8 +93,39 @@ class Dataset:
             raise ValueError("num_classes only applies to classification")
         return int(self.targets.max()) + 1
 
+    @property
+    def input_dim(self) -> int:
+        return self.inputs.shape[1]
+
+    def take(self, idx) -> Dataset:
+        return Dataset(self.inputs[idx], self.targets[idx], self.kind)
+
     def as_batch(self) -> Batch:
         return Batch(self.inputs, self.targets)
+
+
+@dataclass(frozen=True)
+class IdxSplit:
+    """A classification split kept as its IDX pixel bytes, one byte per
+    pixel instead of eight; ``take`` scales only the rows it picks."""
+
+    pixels: np.ndarray  # (n, rows*cols) uint8
+    targets: np.ndarray  # int labels (n,)
+    kind = DatasetKind.CLASSIFICATION
+
+    @property
+    def n(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.pixels.shape[1]
+
+    num_classes = Dataset.num_classes
+
+    def take(self, idx) -> Dataset:
+        inputs = self.pixels[idx].astype(float) / 255.0
+        return Dataset(inputs, self.targets[idx], self.kind)
 
 
 @dataclass(frozen=True)
@@ -132,12 +166,8 @@ def _read_be_u32(f, path, what: str) -> int:
     return struct.unpack(">I", raw)[0]
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label file pair into a classification dataset.
-
-    Pixels are scaled from bytes to [0, 1] and images flattened row-major
-    to (n, rows*cols).
-    """
+def read_idx(images_path, labels_path) -> IdxSplit:
+    """An IDX image/label file pair as stored: (n, rows*cols) pixel bytes."""
     images_path = Path(images_path)
     labels_path = Path(labels_path)
     with _open(images_path, "rb") as f:
@@ -156,7 +186,6 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{images_path}: expected {expected} pixel bytes, got {len(payload)}"
         )
     pixels = np.frombuffer(payload[:expected], dtype=np.uint8)
-    inputs = pixels.reshape(count, rows * cols).astype(float) / 255.0
 
     with _open(labels_path, "rb") as f:
         magic = _read_be_u32(f, labels_path, "magic number")
@@ -176,7 +205,16 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{count} images but {label_count} labels"
         )
     labels = np.frombuffer(label_bytes[:label_count], dtype=np.uint8).astype(int)
-    return Dataset(inputs, labels, DatasetKind.CLASSIFICATION)
+    return IdxSplit(pixels.reshape(count, rows * cols), labels)
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """Load an IDX image/label file pair into a classification dataset.
+
+    Pixels are scaled from bytes to [0, 1] and images flattened row-major
+    to (n, rows*cols).
+    """
+    return read_idx(images_path, labels_path).take(slice(None))
 
 
 def write_idx(ds: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
@@ -292,12 +330,10 @@ def synth_multitask(spec: SyntheticMultitaskSpec) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def subsample(ds: Dataset, size: int, seed, stratified: bool = False) -> Dataset:
-    """Seeded subsample of ``size`` examples, keeping input/target pairing.
-
-    With ``stratified`` on a classification dataset, per-class counts differ
-    by at most one (classes in ascending label order receive the remainder).
-    """
+def pick_rows(
+    ds: Dataset | IdxSplit, size: int, seed, stratified: bool = False
+) -> np.ndarray:
+    """The rows ``subsample`` takes; SizeTooLarge if ``ds`` has too few."""
     if size < 1:
         raise ValueError("size must be >= 1")
     if size > ds.n:
@@ -315,10 +351,19 @@ def subsample(ds: Dataset, size: int, seed, stratified: bool = False) -> Dataset
                     f"class {label} has {pool.size} examples, need {want}"
                 )
             picked.append(rng.permutation(pool)[:want])
-        idx = rng.permutation(np.concatenate(picked))
-    else:
-        idx = rng.permutation(ds.n)[:size]
-    return Dataset(ds.inputs[idx], ds.targets[idx], ds.kind)
+        return rng.permutation(np.concatenate(picked))
+    return rng.permutation(ds.n)[:size]
+
+
+def subsample(
+    ds: Dataset | IdxSplit, size: int, seed, stratified: bool = False
+) -> Dataset:
+    """Seeded subsample of ``size`` examples, keeping input/target pairing.
+
+    With ``stratified`` on a classification dataset, per-class counts differ
+    by at most one (classes in ascending label order receive the remainder).
+    """
+    return ds.take(pick_rows(ds, size, seed, stratified))
 
 
 def batches(ds: Dataset, batch_size: int, seed):

@@ -153,12 +153,16 @@ def evaluate(network: Network, dataset: Dataset) -> tuple[float, float]:
 
 
 def predict(network: Network, dataset: Dataset) -> np.ndarray:
-    """Network outputs for every row, computed in EVAL_CHUNK-row chunks."""
-    chunks = []
-    for lo in range(0, dataset.n, EVAL_CHUNK):
-        out, _ = net_mod.forward(network, dataset.inputs[lo : lo + EVAL_CHUNK])
-        chunks.append(out)
-    return np.concatenate(chunks, axis=0)
+    """Network outputs for every row, computed in EVAL_CHUNK-row chunks.
+
+    Each chunk's forward cache is dropped as soon as its outputs are taken;
+    a single chunk's outputs are returned as they are, without a copy.
+    """
+    chunks = [
+        net_mod.forward(network, dataset.inputs[lo : lo + EVAL_CHUNK])[0]
+        for lo in range(0, dataset.n, EVAL_CHUNK)
+    ]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
 
 def update_precisions(state: AdaRegState) -> AdaRegState:

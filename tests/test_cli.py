@@ -3,6 +3,7 @@ correlation export, and byte-level determinism."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from adareg.errors import (
     EmptyDirectory,
     MissingWeights,
     SchemaMismatch,
+    SizeTooLarge,
 )
 from mnist_surrogate import make_dataset
-from adareg.data import write_idx
+from adareg import cli
+from adareg.data import Dataset, DatasetKind, load_idx, subsample, write_idx
 
 
 @pytest.fixture(autouse=True)
@@ -477,3 +480,109 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(_synth_config(out, methods=["adareg"])))
         main(["run", str(cfg_path)])
         assert main(["export-correlation", str(out), "--layer", "1"]) == 0
+
+
+class TestIdxTrainingSplit:
+    """The IDX training split is cached as pixel bytes; each cell scales only
+    the rows it trains on, to the same bits ``load_idx`` gives."""
+
+    @pytest.fixture
+    def cell_train_sets(self, monkeypatch):
+        """The training Dataset each cell passes to run_adareg."""
+        seen = []
+        original = cli.run_adareg
+
+        def spying(network, schedule, train, *args, **kwargs):
+            seen.append(train)
+            return original(network, schedule, train, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_adareg", spying)
+        return seen
+
+    @pytest.mark.parametrize("size", [50, None], ids=["n50", "full"])
+    def test_cell_rows_equal_subsample_of_load_idx(
+        self, tmp_path, cell_train_sets, size
+    ):
+        sizes = None if size is None else [size]
+        cfg = _idx_config(
+            tmp_path, tmp_path / "runs", methods=["none"], training_sizes=sizes, seeds=[0, 3]
+        )
+        run_experiment(ExperimentConfig.from_dict(cfg))
+        full = load_idx(cfg["dataset"]["train_images"], cfg["dataset"]["train_labels"])
+        assert len(cell_train_sets) == 2
+        for seed, got in zip([0, 3], cell_train_sets):
+            if size is None:
+                want = subsample(full, full.n, [seed, 101])
+            else:
+                want = subsample(full, size, [seed, 101], stratified=True)
+            assert got.inputs.dtype == want.inputs.dtype == np.float64
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+            np.testing.assert_array_equal(got.targets, want.targets)
+            assert got.targets.dtype == want.targets.dtype
+
+    def test_one_cell_peak_stays_below_the_float_split(self, tmp_path):
+        """Loading the splits and preparing one 600-row cell from a cold cache
+        must not hold a float64 copy of the 3,000-row training split."""
+        dataset = _idx_config(tmp_path, tmp_path / "runs")["dataset"]
+        n_train, n_test, pixels = 3000, 300, 784
+        rng = np.random.default_rng(5)
+        for name, n in (("tr", n_train), ("te", n_test)):
+            ds = Dataset(
+                rng.integers(0, 256, size=(n, pixels)) / 255.0,
+                np.arange(n) % 10,
+                DatasetKind.CLASSIFICATION,
+            )
+            write_idx(ds, tmp_path / f"{name}-img", tmp_path / f"{name}-lab", 28, 28)
+        key = json.dumps(dataset, sort_keys=True)
+        _load_base_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            train, _ = _load_base_cached(key)
+            rows = subsample(train, 600, [0, 101], stratified=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train.n == n_train and rows.n == 600
+        assert peak < n_train * pixels * 8
+
+
+class TestConfigRejections:
+    def test_standardize_on_idx_rejected(self, tmp_path, capsys):
+        cfg = _idx_config(tmp_path, tmp_path / "runs")
+        cfg["dataset"]["standardize"] = True
+        with pytest.raises(ConfigError, match="standardize"):
+            ExperimentConfig.from_dict(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 1
+        assert "standardize" in capsys.readouterr().err
+
+    def test_size_above_synthetic_n_train_rejected(self, tmp_path, capsys):
+        cfg = _synth_config(tmp_path / "runs", training_sizes=[32, 49])
+        with pytest.raises(ConfigError, match="49"):
+            ExperimentConfig.from_dict(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 1
+        ExperimentConfig.from_dict(_synth_config(tmp_path, training_sizes=[48]))
+
+    def test_size_too_large_fails_before_any_file_is_written(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = _idx_config(tmp_path, out, methods=["none"], training_sizes=[50, 121])
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 1
+        assert "requested 121 of 120 examples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_class_too_small_fails_before_any_file_is_written(self, tmp_path):
+        full = make_dataset(120, seed=7)
+        keep = np.flatnonzero(full.targets != 9)
+        keep = np.concatenate([keep, np.flatnonzero(full.targets == 9)[:2]])
+        short = Dataset(full.inputs[keep], full.targets[keep], full.kind)
+        out = tmp_path / "runs"
+        cfg = _idx_config(tmp_path, out, methods=["none"], training_sizes=[100])
+        write_idx(short, tmp_path / "tr-img", tmp_path / "tr-lab", 28, 28)
+        with pytest.raises(SizeTooLarge, match="class 9 has 2 examples, need 10"):
+            run_experiment(ExperimentConfig.from_dict(cfg))
+        assert not out.exists()

@@ -421,3 +421,23 @@ class TestRunAdareg:
                     fd[i, j] += sign * val / (2.0 * step)
         rel = np.abs(total - fd).max() / np.abs(fd).max()
         assert rel < 1e-4
+
+
+class TestPredict:
+    def test_single_chunk_returns_the_forward_output(self, monkeypatch):
+        from adareg.optimizer import predict
+
+        outputs = []
+        original = net_mod.forward
+
+        def spying(network, inputs, *args):
+            result = original(network, inputs, *args)
+            outputs.append(result[0])
+            return result
+
+        monkeypatch.setattr(net_mod, "forward", spying)
+        dataset = _toy_regression(n=EVAL_CHUNK, d=3, t=2, seed=8)
+        network = Network.init([3, 5, 2], LossKind.SQUARED_ERROR, seed=9)
+        got = predict(network, dataset)
+        assert len(outputs) == 1
+        assert got is outputs[0]
