@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -47,6 +48,7 @@ from .diagnostics import SpectrumReport, correlation_matrix, explained_variance
 from .errors import (
     AdaRegError,
     ConfigError,
+    Diverged,
     EmptyDirectory,
     MissingWeights,
     SchemaMismatch,
@@ -372,13 +374,15 @@ def _cell_name(method: str, size: int | None, seed: int) -> str:
     return f"{method}_n{'full' if size is None else size}_s{seed}"
 
 
-def _run_cell(
+def _run_group(
     config: ExperimentConfig,
-    method: str,
+    methods: tuple[str, ...],
     size: int | None,
     seed: int,
     out_dir: Path,
-) -> str:
+) -> list[str]:
+    """Train the cells of ``methods`` at one (size, seed) as one group, which
+    needs one dropout rate for them all, and write each cell's artifacts."""
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
     loss = _loss_kind(config, train_full)
     rows, stratified = _cell_rows(train_full, size)
@@ -391,38 +395,57 @@ def _run_cell(
         config.regularized_layer_index,
     )
     p, d = network.regularized_weight.shape
-    lam, wd, dr = _method_knobs(config, method, p, d)
+    lams, decays, rates = zip(*(_method_knobs(config, m, p, d) for m in methods))
     bounds = SpectralBounds.from_v(config.bounds_v)
+    names = [_cell_name(method, size, seed) for method in methods]
 
     started = time.perf_counter()
-    state, log = run_adareg(
-        network,
-        config.schedule,
-        train,
-        bounds,
-        lam,
-        seed,
-        test_dataset=test,
-        weight_decay=wd,
-        dropout_rate=dr,
-    )
+    try:
+        results = run_adareg(
+            network,
+            config.schedule,
+            train,
+            bounds,
+            lams,
+            seed,
+            test_dataset=test,
+            weight_decay=decays,
+            dropout_rate=rates[0],
+        )
+    except Diverged as e:
+        raise Diverged(f"{names[e.cell or 0]}: {e.reason}") from None
     wall_seconds = time.perf_counter() - started
 
-    name = _cell_name(method, size, seed)
-    _write_metrics_csv(out_dir / f"{name}_metrics.csv", log)
-    _write_summary_json(
-        out_dir / f"{name}_summary.json", method, size, seed, train, test, state, log
-    )
-    _write_weights_npz(out_dir / f"{name}_weights.npz", state, train.kind)
-    note = f"[adareg] {name}: done in {wall_seconds:.1f}s"
-    if log.records:
-        note += f" (final test metric {log.records[-1].test_metric:.4f})"
-    print(note, file=sys.stderr)
-    return name
+    for method, name, (state, log) in zip(methods, names, results):
+        _write_metrics_csv(out_dir / f"{name}_metrics.csv", log)
+        _write_summary_json(
+            out_dir / f"{name}_summary.json", method, size, seed, train, test, state, log
+        )
+        _write_weights_npz(out_dir / f"{name}_weights.npz", state, train.kind)
+        note = f"[adareg] {name}: done in {wall_seconds:.1f}s (group of {len(methods)})"
+        if log.records:
+            note += f" (final test metric {log.records[-1].test_metric:.4f})"
+        print(note, file=sys.stderr)
+    return names
+
+
+@contextmanager
+def _replacing(path: Path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` and move it onto ``path`` once
+    the block completes; if the block raises, remove it instead.  So
+    ``path`` is either absent or complete, never half-written."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_metrics_csv(path: Path, log: MetricLog) -> None:
-    with open(path, "w", newline="") as f:
+    with _replacing(path, newline="") as f:
         # csv writes a Python float as its repr, so the floats round-trip.
         writer = csv.writer(f)
         writer.writerow([f.name for f in fields(EpochRecord)])
@@ -465,7 +488,7 @@ def _write_summary_json(
         summary["per_task_explained_variance"] = [
             float(x) for x in explained_variance(predict(final, test), test.targets)
         ]
-    with open(path, "w") as f:
+    with _replacing(path) as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -484,7 +507,8 @@ def _write_weights_npz(path: Path, state, dataset_kind: str) -> None:
         covs = state.precisions.to_prior()
         arrays["sigma_r"] = covs.row_cov.entries
         arrays["sigma_c"] = covs.col_cov.entries
-    np.savez(path, **arrays)
+    with _replacing(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 def run_experiment(
@@ -494,6 +518,10 @@ def run_experiment(
     output_override: str | None = None,
 ) -> int:
     """Run every (method, training size, seed) cell of the sweep.
+
+    The cells of one (training size, seed) whose methods share a dropout
+    rate train as one group (see ``optimizer.train_block``); a Diverged
+    stops the group and names the failing cell.
 
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
@@ -512,28 +540,33 @@ def run_experiment(
     resolved["seeds"] = list(seeds)
     if output_override:
         resolved["output_dir"] = str(out_dir)
-    with open(out_dir / "resolved_config.json", "w") as f:
+    with _replacing(out_dir / "resolved_config.json") as f:
         json.dump(resolved, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    cells = [
-        (method, size, seed)
-        for method in config.methods
+    # Cells that share (size, seed, dropout rate) train as one group.
+    by_rate: dict[bool, list[str]] = {}
+    for method in config.methods:
+        by_rate.setdefault("dropout" in method, []).append(method)
+    groups = [
+        (tuple(methods), size, seed)
         for size in config.training_sizes
         for seed in seeds
+        for methods in by_rate.values()
     ]
     if jobs <= 1:
-        for method, size, seed in cells:
-            _run_cell(config, method, size, seed, out_dir)
+        for methods, size, seed in groups:
+            _run_group(config, methods, size, seed, out_dir)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_cell, config, method, size, seed, out_dir)
-                for method, size, seed in cells
+                pool.submit(_run_group, config, methods, size, seed, out_dir)
+                for methods, size, seed in groups
             ]
             for fut in futures:
                 fut.result()
-    print(f"[adareg] wrote {len(cells)} cells to {out_dir}", file=sys.stderr)
+    cells = len(config.methods) * len(config.training_sizes) * len(seeds)
+    print(f"[adareg] wrote {cells} cells to {out_dir}", file=sys.stderr)
     return 0
 
 

@@ -40,7 +40,16 @@ class ZeroVariance(AdaRegError):
 
 
 class Diverged(AdaRegError):
-    """Training produced a non-finite loss or parameter."""
+    """Training produced a non-finite loss or parameter.
+
+    ``cell`` is the index of the failing cell when cells train as a group,
+    else None; the message then starts with it.  ``reason`` is the message
+    without that prefix."""
+
+    def __init__(self, reason: str, cell: int | None = None):
+        super().__init__(reason if cell is None else f"cell {cell}: {reason}")
+        self.reason = reason
+        self.cell = cell
 
 
 class DataError(AdaRegError):

@@ -10,6 +10,12 @@ squared error covers (multitask) regression:
 Bias vectors stay out of both weight decay and the prior.  All update and
 forward routines are pure functions; given equal seeds they reproduce
 parameter trajectories bit for bit.
+
+A network may also hold a stack of cells: weights (cells, out, in) and
+biases (cells, out), all fed the same inputs and dropout masks.
+``np.matmul`` over a stack runs one product per cell with that cell's own
+shapes, so each cell's outputs and gradients carry the same bits as a
+single network's would.
 """
 
 from __future__ import annotations
@@ -50,14 +56,14 @@ class LossKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DenseLayer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    weight: np.ndarray  # (out, in), or (cells, out, in) for a stack
+    bias: np.ndarray  # (out,), or (cells, out)
     activation: Activation
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
         b = np.asarray(self.bias, dtype=float)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
+        if w.ndim not in (2, 3) or b.shape != w.shape[:-1]:
             raise DimensionMismatch(
                 f"weight {w.shape} and bias {b.shape} do not chain"
             )
@@ -66,11 +72,11 @@ class DenseLayer:
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,8 @@ class Network:
                 raise DimensionMismatch(
                     f"layer output {a.out_dim} does not feed input {b.in_dim}"
                 )
+            if a.weight.shape[:-2] != b.weight.shape[:-2]:
+                raise DimensionMismatch("layers stack different numbers of cells")
         idx = self.regularized_layer_index
         if not -len(layers) <= idx < len(layers):
             raise ValueError(f"regularized_layer_index {idx} out of range")
@@ -105,6 +113,53 @@ class Network:
     @property
     def regularized_weight(self) -> np.ndarray:
         return self.layers[self.regularized_layer_index].weight
+
+    @property
+    def cells(self) -> int | None:
+        """Number of stacked cells, or None for a single network."""
+        shape = self.layers[0].weight.shape
+        return shape[0] if len(shape) == 3 else None
+
+    @classmethod
+    def stack(cls, networks) -> "Network":
+        """One network holding ``networks`` as cells, with copied parameters;
+        a single network is returned as it is."""
+        first, *rest = networks
+        if not rest:
+            return first
+
+        def architecture(n: Network):
+            layers = [(l.weight.shape, l.activation) for l in n.layers]
+            return layers, n.loss, n.regularized_layer_index
+
+        if any(architecture(n) != architecture(first) for n in rest):
+            raise DimensionMismatch("stacked networks differ in architecture")
+        layers = tuple(
+            DenseLayer(
+                np.stack([n.layers[i].weight for n in networks]),
+                np.stack([n.layers[i].bias for n in networks]),
+                layer.activation,
+            )
+            for i, layer in enumerate(first.layers)
+        )
+        return cls(layers, first.loss, first.regularized_layer_index)
+
+    def unstack(self) -> tuple["Network", ...]:
+        """The cells as single networks whose parameters are views into the
+        stack; a single network gives itself."""
+        if self.cells is None:
+            return (self,)
+        return tuple(
+            Network(
+                tuple(
+                    DenseLayer(l.weight[c], l.bias[c], l.activation)
+                    for l in self.layers
+                ),
+                self.loss,
+                self.regularized_layer_index,
+            )
+            for c in range(self.cells)
+        )
 
     @classmethod
     def init(
@@ -152,7 +207,9 @@ class Batch:
 @dataclass(frozen=True)
 class ForwardCache:
     """Each layer's input plus the dropout masks and rate: all backprop
-    reads.  A ReLU mask comes from the layer's output, not its preactivation."""
+    reads.  A ReLU mask comes from the layer's output, not its preactivation.
+    The first layer's input is the caller's (rows, in) array for every cell;
+    masks are (rows, units), shared by every cell."""
 
     layers: tuple[DenseLayer, ...]
     layer_inputs: tuple[np.ndarray, ...]
@@ -163,7 +220,10 @@ class ForwardCache:
     def preactivations(self) -> tuple[np.ndarray, ...]:
         """Each layer's ``x @ W.T + b``, recomputed from the stored inputs."""
         pairs = zip(self.layer_inputs, self.layers)
-        return tuple(x @ layer.weight.T + layer.bias for x, layer in pairs)
+        return tuple(
+            x @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
+            for x, layer in pairs
+        )
 
 
 @dataclass(frozen=True)
@@ -175,13 +235,14 @@ class Gradients:
 def apply_dropout(activations: np.ndarray, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: zero each unit with probability ``rate`` and scale
     survivors by 1/(1-rate).  Returns (masked activations, mask); training
-    only -- evaluation passes skip this entirely.
+    only -- evaluation passes skip this entirely.  The mask is drawn for
+    the last two axes, (rows, units), and applies to every stacked cell.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return activations, np.ones_like(activations)
-    keep = (rng.random(size=activations.shape) >= rate).astype(float)
+        return activations, np.ones(activations.shape[-2:])
+    keep = (rng.random(size=activations.shape[-2:]) >= rate).astype(float)
     scale = 1.0 / (1.0 - rate)
     return activations * keep * scale, keep
 
@@ -195,7 +256,8 @@ def forward(
     """Run the network, returning outputs and the caches backprop needs.
 
     Each layer allocates one array, the matmul's output, and adds the bias
-    and applies ReLU to it in place; ``inputs`` is never written to.
+    and applies ReLU to it in place; ``inputs`` is never written to.  A
+    stacked network returns (cells, rows, out) outputs.
     Dropout (training only) applies to hidden activations when
     ``dropout_rate > 0`` and a generator is supplied; the final layer's
     outputs are never dropped.
@@ -212,8 +274,8 @@ def forward(
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         layer_inputs.append(a)
-        a = a @ layer.weight.T
-        a += layer.bias
+        a = a @ layer.weight.swapaxes(-1, -2)
+        a += layer.bias[..., None, :]
         if layer.activation is Activation.RELU:
             np.maximum(a, 0.0, out=a)
         if use_dropout and i < last:
@@ -261,19 +323,22 @@ def loss_value(net: Network, batch: Batch) -> float:
 
 
 def _output_delta(net: Network, outputs: np.ndarray, targets) -> np.ndarray:
-    """Gradient of the batch loss with respect to the final preactivations."""
-    n = outputs.shape[0]
+    """Gradient of the batch loss with respect to the final preactivations.
+
+    Normalizes and scales in place an array it allocated; ``x /= r`` gives
+    the bits of ``x / r``."""
+    n = outputs.shape[-2]
     if net.loss is LossKind.SOFTMAX_CROSS_ENTROPY:
         y = np.asarray(targets).astype(int)
-        shifted = outputs - outputs.max(axis=1, keepdims=True)
-        expz = np.exp(shifted)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        probs[np.arange(n), y] -= 1.0
-        return probs / n
-    y = np.asarray(targets, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    return (outputs - y) / n
+        probs = outputs - outputs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[..., np.arange(n), y] -= 1.0
+    else:
+        y = np.asarray(targets, dtype=float)
+        probs = outputs - (y[:, None] if y.ndim == 1 else y)
+    probs /= n
+    return probs
 
 
 def backward(
@@ -288,6 +353,8 @@ def backward(
     backpropagates through the cached inputs and masks.  A ReLU mask is
     ``output > 0``, which equals ``preactivation > 0`` wherever dropout kept
     the unit; where it dropped the unit, delta is already +-0 either way.
+    Masks apply in place to delta arrays this call allocated.  A stacked
+    network gives stacked gradients, (cells, out, in) and (cells, out).
     """
     outputs, cache = forward(net, batch.inputs, dropout_rate, dropout_rng)
     delta = _output_delta(net, outputs, batch.targets)
@@ -299,11 +366,12 @@ def backward(
         layer = net.layers[i]
         # delta currently holds dLoss/d(activation output of layer i).
         if cache.dropout_masks[i] is not None:
-            delta = delta * cache.dropout_masks[i] / (1.0 - cache.dropout_rate)
+            delta *= cache.dropout_masks[i]
+            delta /= 1.0 - cache.dropout_rate
         if layer.activation is Activation.RELU:
-            delta = delta * (layer_outputs[i] > 0.0)
-        weight_grads[i] = delta.T @ cache.layer_inputs[i]
-        bias_grads[i] = delta.sum(axis=0)
+            delta *= layer_outputs[i] > 0.0
+        weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]
+        bias_grads[i] = delta.sum(axis=-2)
         if i > 0:
             delta = delta @ layer.weight
     return Gradients(tuple(weight_grads), tuple(bias_grads))
@@ -313,30 +381,57 @@ def sgd_step(
     net: Network,
     grads: Gradients,
     learning_rate: float,
-    weight_decay: float = 0.0,
-    extra_grad_for_regularized_layer: np.ndarray | None = None,
+    weight_decay=0.0,
+    extra_grad_for_regularized_layer=None,
 ) -> Network:
-    """One SGD update; returns a new network.
+    """One SGD update; returns a new network with newly allocated parameters.
 
     Weight decay adds ``weight_decay * W`` to each weight gradient (never to
     biases); the extra gradient (the prior's trace-term gradient) adds to
-    the regularized layer only.  Raises Diverged if any parameter leaves the
-    finite range.
+    the regularized layer only.  For a stacked network each term may be
+    given per cell: ``weight_decay`` as one float per cell, the extra
+    gradient as one (p, d) array or None per cell.  A term is added only to
+    the cells that have it, so a cell with neither updates exactly as
+    ``W - lr * gW``.  ``grads`` is never written to.  Raises Diverged if any
+    parameter leaves the finite range; for a stack it names the cell.
     """
+    slices = [...] if net.cells is None else range(net.cells)
+    decays = _per_cell(weight_decay, len(slices), "weight_decay")
+    extras = _per_cell(extra_grad_for_regularized_layer, len(slices), "extra gradient")
     new_layers = []
     for i, layer in enumerate(net.layers):
         gw = grads.weight[i]
-        if weight_decay != 0.0:
-            gw = gw + weight_decay * layer.weight
-        if (
-            extra_grad_for_regularized_layer is not None
-            and i == net.regularized_layer_index
-        ):
-            gw = gw + extra_grad_for_regularized_layer
+        regularized = i == net.regularized_layer_index
+        terms = [
+            (c, d, e if regularized else None)
+            for c, d, e in zip(slices, decays, extras)
+            if d != 0.0 or (regularized and e is not None)
+        ]
+        if terms:
+            gw = gw.copy()
+        for c, decay, extra in terms:
+            if decay != 0.0:
+                gw[c] += decay * layer.weight[c]
+            if extra is not None:
+                gw[c] += extra
         w = layer.weight - learning_rate * gw
         b = layer.bias - learning_rate * grads.bias[i]
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise Diverged(f"layer {i} produced non-finite parameters")
+            if net.cells is None:
+                raise Diverged(f"layer {i} produced non-finite parameters")
+            finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+            cell = int(np.flatnonzero(~finite)[0])
+            raise Diverged(f"layer {i} produced non-finite parameters", cell)
         new_layers.append(replace(layer, weight=w, bias=b))
     return replace(net, layers=tuple(new_layers))
+
+
+def _per_cell(term, cells: int, what: str) -> list:
+    """``term`` as one entry per cell: a list or tuple is taken as given,
+    anything else (a float, an array or None) is repeated."""
+    if not isinstance(term, (list, tuple)):
+        return [term] * cells
+    if len(term) != cells:
+        raise DimensionMismatch(f"{len(term)} {what} entries for {cells} cells")
+    return list(term)
 

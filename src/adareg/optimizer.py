@@ -28,7 +28,7 @@ from . import net as net_mod
 from .data import Dataset, DatasetKind, batches
 from .diagnostics import explained_variance
 from .errors import Diverged
-from .net import Network, loss_from_outputs
+from .net import Network, _per_cell, loss_from_outputs
 from .prior import PrecisionPair, regularizer_grad, regularizer_value
 from .spectral import SpectralBounds, SymMatrix, inv_threshold
 
@@ -188,47 +188,60 @@ def update_precisions(state: AdaRegState) -> AdaRegState:
 
 
 def train_block(
-    state: AdaRegState,
+    state,
     schedule: BcdSchedule,
     dataset: Dataset,
     seed,
-    weight_decay: float = 0.0,
+    weight_decay=0.0,
     dropout_rate: float = 0.0,
     epoch_callback=None,
-) -> AdaRegState:
+):
     """One SGD block: ``epochs_per_block`` epochs with precisions frozen.
 
     The prior gradient 2*lambda * O_r W O_c is added to the regularized
     layer at every step (it is part of the block's objective, not a
     boundary correction).  Batch order and dropout masks derive from
     ``seed``, the outer iteration, and the epoch index, so trajectories are
-    reproducible.  Raises Diverged on a non-finite loss.
+    reproducible.  ``sgd_step`` raises Diverged on a non-finite parameter.
+
+    ``state`` may also be a group: a tuple of states at one outer iteration,
+    with ``weight_decay`` one float per state (or one for all).  The group
+    trains in lockstep on one batch and dropout-mask stream, its networks
+    stacked once per block, and each cell's parameters get the bits they
+    would get alone.  ``epoch_callback(network, epoch)`` then receives the
+    tuple of cell networks, and a tuple of states is returned.
     """
-    network = state.net
+    group = isinstance(state, tuple)
+    states = state if group else (state,)
+    decays = _per_cell(weight_decay, len(states), "weight_decay")
+    outer_iter = states[0].outer_iter
+    if any(s.outer_iter != outer_iter for s in states):
+        raise ValueError("a group's states must share the outer iteration")
+    priors = [(c, s) for c, s in enumerate(states) if s.lam > 0.0]
+    network = Network.stack([s.net for s in states])
     for epoch in range(schedule.epochs_per_block):
-        shuffle_seed = _derived_seed(seed, state.outer_iter, epoch, 0)
+        shuffle_seed = _derived_seed(seed, outer_iter, epoch, 0)
         dropout_rng = (
-            np.random.default_rng(_derived_seed(seed, state.outer_iter, epoch, 1))
+            np.random.default_rng(_derived_seed(seed, outer_iter, epoch, 1))
             if dropout_rate > 0.0
             else None
         )
         for batch in batches(dataset, schedule.batch_size, shuffle_seed):
             grads = net_mod.backward(network, batch, dropout_rate, dropout_rng)
-            extra = None
-            if state.lam > 0.0:
-                extra = regularizer_grad(
-                    network.regularized_weight, state.precisions, state.lam
+            extras = [None] * len(states)
+            for c, s in priors:
+                w = network.regularized_weight
+                extras[c] = regularizer_grad(
+                    w if network.cells is None else w[c], s.precisions, s.lam
                 )
             network = net_mod.sgd_step(
-                network,
-                grads,
-                schedule.learning_rate,
-                weight_decay,
-                extra,
+                network, grads, schedule.learning_rate, decays, extras
             )
         if epoch_callback is not None:
-            epoch_callback(network, epoch)
-    return replace(state, net=network)
+            cells = network.unstack()
+            epoch_callback(cells if group else cells[0], epoch)
+    new = tuple(replace(s, net=n) for s, n in zip(states, network.unstack()))
+    return new if group else new[0]
 
 
 def _derived_seed(seed, outer_iter: int, epoch: int, stream: int):
@@ -240,12 +253,12 @@ def run_adareg(
     schedule: BcdSchedule,
     dataset: Dataset,
     bounds: SpectralBounds,
-    lam: float,
+    lam,
     seed,
     test_dataset: Dataset | None = None,
-    weight_decay: float = 0.0,
+    weight_decay=0.0,
     dropout_rate: float = 0.0,
-) -> tuple[AdaRegState, MetricLog]:
+):
     """Alternate SGD blocks with precision refreshes for ``outer_loops``
     rounds, starting from identity precisions.
 
@@ -255,45 +268,61 @@ def run_adareg(
     values when no test set is given.  When ``lam`` is zero the prior is
     inert and the precision refresh is skipped: the solve would not affect
     the network or the objective.
-    """
-    state = AdaRegState.initial(network, bounds, lam)
-    log = MetricLog()
 
-    def record(current: Network, _epoch: int) -> None:
-        # Runs inside train_block, so ``state`` is still the pre-block state.
-        epoch = len(log.records)
-        train_loss, train_metric = evaluate(current, dataset)
-        objective = _penalized(train_loss, current, state.precisions, lam)
-        if test_dataset is not None:
-            test_loss, test_metric = evaluate(current, test_dataset)
-        else:
-            test_loss, test_metric = train_loss, train_metric
-        if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
-            raise Diverged(f"loss became non-finite at epoch {epoch}")
-        log.records.append(
-            EpochRecord(
-                epoch,
-                state.outer_iter,
-                train_loss,
-                objective,
-                test_loss,
-                train_metric,
-                test_metric,
+    With ``lam`` a sequence, one entry per cell (and ``weight_decay`` a
+    float or one per cell), the cells train from ``network`` as one group
+    (see :func:`train_block`) and a list of one (state, log) per cell is
+    returned; each cell's results equal those of its own scalar call.  A
+    Diverged carries the failing cell's index when there are several.
+    """
+    group = isinstance(lam, (list, tuple))
+    lams = tuple(lam) if group else (lam,)
+    decays = _per_cell(weight_decay, len(lams), "weight_decay")
+    states = tuple(AdaRegState.initial(network, bounds, c_lam) for c_lam in lams)
+    logs = tuple(MetricLog() for _ in lams)
+
+    def record(current, _epoch: int) -> None:
+        # Runs inside train_block, so ``states`` are still the pre-block states.
+        for c, (cell_net, state, log) in enumerate(zip(current, states, logs)):
+            epoch = len(log.records)
+            train_loss, train_metric = evaluate(cell_net, dataset)
+            objective = _penalized(train_loss, cell_net, state.precisions, state.lam)
+            if test_dataset is not None:
+                test_loss, test_metric = evaluate(cell_net, test_dataset)
+            else:
+                test_loss, test_metric = train_loss, train_metric
+            if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
+                raise Diverged(
+                    f"loss became non-finite at epoch {epoch}",
+                    c if len(states) > 1 else None,
+                )
+            log.records.append(
+                EpochRecord(
+                    epoch,
+                    state.outer_iter,
+                    train_loss,
+                    objective,
+                    test_loss,
+                    train_metric,
+                    test_metric,
+                )
             )
-        )
 
     for _ in range(schedule.outer_loops):
-        state = train_block(
-            state,
+        states = train_block(
+            states,
             schedule,
             dataset,
             seed,
-            weight_decay,
+            decays,
             dropout_rate,
             epoch_callback=record,
         )
-        if lam > 0.0:
-            state = update_precisions(state)
-        else:
-            state = replace(state, outer_iter=state.outer_iter + 1)
-    return state, log
+        states = tuple(
+            update_precisions(s)
+            if s.lam > 0.0
+            else replace(s, outer_iter=s.outer_iter + 1)
+            for s in states
+        )
+    results = list(zip(states, logs))
+    return results if group else results[0]

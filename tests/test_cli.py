@@ -586,3 +586,83 @@ class TestConfigRejections:
         with pytest.raises(SizeTooLarge, match="class 9 has 2 examples, need 10"):
             run_experiment(ExperimentConfig.from_dict(cfg))
         assert not out.exists()
+
+
+class TestGroupSweep:
+    """Cells that share (size, seed, dropout rate) train as one group."""
+
+    def test_one_backward_and_batch_per_group_step(self, tmp_path, monkeypatch):
+        from adareg import net as net_mod
+        from adareg import optimizer
+
+        calls = {"backward": 0, "batches": 0}
+        backward, batches = net_mod.backward, optimizer.batches
+
+        def counting_backward(*args, **kwargs):
+            calls["backward"] += 1
+            return backward(*args, **kwargs)
+
+        def counting_batches(*args, **kwargs):
+            for batch in batches(*args, **kwargs):
+                calls["batches"] += 1
+                yield batch
+
+        monkeypatch.setattr(net_mod, "backward", counting_backward)
+        monkeypatch.setattr(optimizer, "batches", counting_batches)
+        cfg = _synth_config(
+            tmp_path / "runs",
+            methods=["none", "weight_decay", "adareg"],
+            weight_decay=1e-3,
+            seeds=[0, 1],
+        )
+        run_experiment(ExperimentConfig.from_dict(cfg))
+        # 2 seeds x 1 outer loop x 2 epochs x ceil(32 / 16) batches, 3 cells each
+        assert calls == {"backward": 8, "batches": 8}
+        assert len(list((tmp_path / "runs").glob("*_weights.npz"))) == 6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_group_names_the_method(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = _synth_config(
+            out, methods=["none", "weight_decay", "adareg"], weight_decay=1e100
+        )
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "error: weight_decay_n32_s0: " in err
+        assert "cell 1" not in err
+        assert not list(out.glob("*_n32_s0_*"))
+
+    def test_failed_weights_write_leaves_no_file(self, tmp_path, monkeypatch):
+        """np.savez failing partway leaves neither the cell's weights nor a
+        temporary file; the cells written before it stay complete."""
+        out = tmp_path / "runs"
+        real_savez = np.savez
+        saved = []
+
+        def failing_savez(file, *args, **kwargs):
+            if not saved:
+                saved.append(file)
+                return real_savez(file, *args, **kwargs)
+            if isinstance(file, (str, os.PathLike)):
+                with open(file, "wb") as f:
+                    f.write(b"PK\x03\x04 partial")
+            else:
+                file.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", failing_savez)
+        cfg = _synth_config(out, methods=["none", "adareg"])
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(ExperimentConfig.from_dict(cfg))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "adareg_n32_s0_metrics.csv",
+            "adareg_n32_s0_summary.json",
+            "none_n32_s0_metrics.csv",
+            "none_n32_s0_summary.json",
+            "none_n32_s0_weights.npz",
+            "resolved_config.json",
+        ]
+        with np.load(out / "none_n32_s0_weights.npz") as z:
+            assert "weight_0" in z

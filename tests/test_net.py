@@ -408,3 +408,99 @@ class TestDeterminism:
             return _flatten_params(net)
 
         np.testing.assert_array_equal(run(), run())
+
+
+def _cells(loss, last, seeds=(40, 41, 42)):
+    """Same-architecture networks from different seeds, last layer ``last``."""
+    nets = []
+    for seed in seeds:
+        net = Network.init([5, 8, 6, 3], loss, seed=seed)
+        top = net.layers[-1]
+        top = DenseLayer(top.weight, top.bias + 0.1 * seed, last)
+        nets.append(Network(net.layers[:-1] + (top,), loss))
+    return nets
+
+
+class TestStackedCells:
+    """A stack of cells computes, per cell, the bits of the single network."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 88, 256])
+    @pytest.mark.parametrize("loss", list(LossKind))
+    @pytest.mark.parametrize("last", [Activation.IDENTITY, Activation.RELU])
+    @pytest.mark.parametrize("rate", [0.0, 0.25])
+    def test_forward_and_backward_match_single_cells(self, rate, last, loss, rows):
+        rng = np.random.default_rng(rows)
+        targets = (
+            rng.integers(0, 3, size=rows)
+            if loss is LossKind.SOFTMAX_CROSS_ENTROPY
+            else rng.normal(size=(rows, 3))
+        )
+        batch = Batch(rng.normal(size=(rows, 5)), targets)
+        nets = _cells(loss, last)
+        stack = Network.stack(nets)
+        assert stack.cells == 3
+
+        out, _ = forward(stack, batch.inputs, rate, np.random.default_rng(9))
+        grads = backward(stack, batch, rate, np.random.default_rng(9))
+        for c, net in enumerate(nets):
+            want_out, _ = forward(net, batch.inputs, rate, np.random.default_rng(9))
+            want = backward(net, batch, rate, np.random.default_rng(9))
+            assert out[c].tobytes() == want_out.tobytes()
+            for got_g, want_g in zip(grads.weight + grads.bias, want.weight + want.bias):
+                assert got_g[c].tobytes() == want_g.tobytes()
+
+    def test_unstack_gives_views_of_the_stack(self):
+        nets = _cells(LossKind.SQUARED_ERROR, Activation.IDENTITY)
+        stack = Network.stack(nets)
+        for c, cell in enumerate(stack.unstack()):
+            for got, layer, want in zip(cell.layers, stack.layers, nets[c].layers):
+                assert got.weight.base is layer.weight
+                assert got.weight.tobytes() == want.weight.tobytes()
+                assert got.bias.tobytes() == want.bias.tobytes()
+        single = nets[0]
+        assert Network.stack([single]) is single
+        assert single.unstack() == (single,)
+
+    def test_stack_rejects_different_architectures(self):
+        a = Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=0)
+        b = Network.init([3, 5, 2], LossKind.SQUARED_ERROR, seed=0)
+        with pytest.raises(DimensionMismatch):
+            Network.stack([a, b])
+        with pytest.raises(DimensionMismatch):
+            DenseLayer(np.zeros((2, 3, 4)), np.zeros(3), Activation.RELU)
+
+    def test_sgd_step_matches_single_cells(self):
+        """Per-cell decay and prior terms land on their own cells only; the
+        cell with neither updates as plain SGD.  ``grads`` is not written."""
+        rng = np.random.default_rng(43)
+        nets = _cells(LossKind.SQUARED_ERROR, Activation.IDENTITY, seeds=(1, 2, 3, 4))
+        stack = Network.stack(nets)
+        batch = Batch(rng.normal(size=(16, 5)), rng.normal(size=(16, 3)))
+        grads = backward(stack, batch)
+        grads.weight[0][0, :2] = -0.0  # signs of zero must survive too
+        before = [g.copy() for g in grads.weight + grads.bias]
+        decays = [0.0, 1e-2, 0.0, 3e-3]
+        extras = [None, None, rng.normal(size=(3, 6)), rng.normal(size=(3, 6))]
+
+        out = sgd_step(stack, grads, 0.1, decays, extras)
+        for g, b in zip(grads.weight + grads.bias, before):
+            assert g.tobytes() == b.tobytes()
+        for c, (net, decay, extra) in enumerate(zip(nets, decays, extras)):
+            cell_grads = Gradients(
+                tuple(g[c] for g in grads.weight), tuple(g[c] for g in grads.bias)
+            )
+            want = sgd_step(net, cell_grads, 0.1, decay, extra)
+            for got_l, want_l in zip(out.layers, want.layers):
+                assert got_l.weight[c].tobytes() == want_l.weight.tobytes()
+                assert got_l.bias[c].tobytes() == want_l.bias.tobytes()
+
+    def test_sgd_step_names_the_diverged_cell(self):
+        stack = Network.stack(_cells(LossKind.SQUARED_ERROR, Activation.IDENTITY))
+        grads = Gradients(
+            tuple(np.zeros_like(l.weight) for l in stack.layers),
+            tuple(np.zeros_like(l.bias) for l in stack.layers),
+        )
+        grads.weight[1][2, 0, 0] = np.inf
+        with pytest.raises(Diverged, match="cell 2: layer 1") as caught:
+            sgd_step(stack, grads, 0.1)
+        assert caught.value.cell == 2

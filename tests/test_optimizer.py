@@ -13,6 +13,7 @@ import pytest
 from adareg import net as net_mod
 from adareg.data import Dataset, DatasetKind
 from adareg.diagnostics import explained_variance
+from adareg.errors import Diverged
 from adareg.net import (
     Activation,
     Batch,
@@ -441,3 +442,77 @@ class TestPredict:
         got = predict(network, dataset)
         assert len(outputs) == 1
         assert got is outputs[0]
+
+
+# (lambda, weight_decay) of the six methods, in two groups by dropout rate:
+# none, weight_decay, adareg, adareg+weight_decay; dropout, adareg+dropout.
+_SIX_METHODS = (
+    (0.0, [(0.0, 0.0), (0.0, 2e-3), (0.04, 0.0), (0.04, 2e-3)]),
+    (0.25, [(0.0, 0.0), (0.04, 0.0)]),
+)
+
+
+class TestGroupTraining:
+    """One run_adareg call over several (lambda, weight_decay) pairs trains
+    them in lockstep and gives each the bits of its own scalar call."""
+
+    @pytest.mark.parametrize("kind", [DatasetKind.CLASSIFICATION, DatasetKind.REGRESSION])
+    @pytest.mark.parametrize("rate,knobs", _SIX_METHODS)
+    def test_group_equals_scalar_calls(self, kind, rate, knobs):
+        if kind == DatasetKind.CLASSIFICATION:
+            train, test = _toy_classification(n=40, seed=31), _toy_classification(n=20, seed=32)
+            net = Network.init([4, 6, 3], LossKind.SOFTMAX_CROSS_ENTROPY, seed=33)
+        else:
+            train, test = _toy_regression(n=40, seed=34), _toy_regression(n=20, seed=35)
+            net = Network.init([3, 6, 2], LossKind.SQUARED_ERROR, seed=36)
+        sched = BcdSchedule(2, 2, 16, 0.1)
+        lams, decays = zip(*knobs)
+        group = run_adareg(
+            net, sched, train, B10, lams, 37, test_dataset=test,
+            weight_decay=decays, dropout_rate=rate,
+        )
+        assert len(group) == len(knobs)
+        for (state, log), (lam, decay) in zip(group, knobs):
+            want_state, want_log = run_adareg(
+                net, sched, train, B10, lam, 37, test_dataset=test,
+                weight_decay=decay, dropout_rate=rate,
+            )
+            assert log.records == want_log.records
+            assert len(log.records) == 4
+            assert (state.lam, state.outer_iter) == (want_state.lam, want_state.outer_iter)
+            for got, want in zip(state.net.layers, want_state.net.layers):
+                assert got.weight.tobytes() == want.weight.tobytes()
+                assert got.bias.tobytes() == want.bias.tobytes()
+            for got, want in (
+                (state.precisions.omega_r, want_state.precisions.omega_r),
+                (state.precisions.omega_c, want_state.precisions.omega_c),
+            ):
+                assert got.entries.tobytes() == want.entries.tobytes()
+
+    def test_train_block_takes_a_tuple_of_states(self):
+        ds = _toy_regression(n=24, seed=38)
+        sched = BcdSchedule(1, 2, 8, 0.1)
+        net = Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=39)
+        states = (AdaRegState.initial(net, B10, 0.0), AdaRegState.initial(net, B10, 0.1))
+        seen = []
+        out = train_block(
+            states, sched, ds, 40, (1e-3, 0.0),
+            epoch_callback=lambda nets, epoch: seen.append((len(nets), epoch)),
+        )
+        assert seen == [(2, 0), (2, 1)]
+        assert isinstance(out, tuple) and len(out) == 2
+        for got, state, decay in zip(out, states, (1e-3, 0.0)):
+            want = train_block(state, sched, ds, 40, decay)
+            for g, w in zip(got.net.layers, want.net.layers):
+                assert g.weight.tobytes() == w.weight.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_cell_is_named(self):
+        ds = _toy_regression(n=16, seed=41)
+        sched = BcdSchedule(1, 3, 8, 0.1)
+        net = Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=42)
+        with pytest.raises(Diverged) as caught:
+            run_adareg(net, sched, ds, B10, [0.0, 0.0, 0.1], 43,
+                       weight_decay=[0.0, 1e100, 0.0])
+        assert caught.value.cell == 1
+        assert str(caught.value).startswith("cell 1: ")
