@@ -24,9 +24,10 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
+from typing import get_type_hints
 from zipfile import BadZipFile
 
 import numpy as np
@@ -77,24 +78,32 @@ METHODS = (
 
 SUMMARY_SCHEMA = "adareg-run-v1"
 
-# Per dataset kind: the keys its loader needs, then those it has defaults for
-# (besides ``standardize``, which every kind but ``mnist_idx`` may set).
+REQUIRED = object()  # the default of a key a config must give
+IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
+
+
+def _keys_of(cls) -> dict:
+    """``{field: (type, default)}`` of a dataclass; a field without a default
+    is REQUIRED."""
+    types = get_type_hints(cls)
+    return {
+        f.name: (types[f.name], REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls)
+    }
+
+
+# Per dataset kind: each key its loader reads, as (type, default).  Besides
+# these, every kind but ``mnist_idx`` may set ``standardize``.
 DATASET_KEYS = {
-    "mnist_idx": (("train_images", "train_labels", "test_images", "test_labels"), ()),
-    "csv_regression": (("train_path", "test_path", "num_targets"), ()),
-    "synthetic_multitask": (
-        ("n_train", "n_test"),
-        ("input_dim", "num_tasks", "task_correlation", "noise_std", "seed"),
-    ),
+    "mnist_idx": dict.fromkeys(IDX_KEYS, (str, REQUIRED)),
+    "csv_regression": {
+        "train_path": (str, REQUIRED),
+        "test_path": (str, REQUIRED),
+        "num_targets": (int, REQUIRED),
+    },
+    "synthetic_multitask": _keys_of(SyntheticMultitaskSpec),
 }
-# Types of the dataset keys that are not file names.
-DATASET_KEY_TYPES = {
-    **dict.fromkeys(
-        ("num_targets", "n_train", "n_test", "input_dim", "num_tasks", "seed"), int
-    ),
-    "task_correlation": float,
-    "noise_std": float,
-}
+SCHEDULE_KEYS = _keys_of(BcdSchedule)
 
 
 @dataclass(frozen=True)
@@ -129,14 +138,10 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        required = object()
 
-        def is_int(val):
-            return isinstance(val, int) and not isinstance(val, bool)
-
-        def need(key, kind, where=raw, ctx="config", default=required):
+        def need(key, kind, where=raw, ctx="config", default=REQUIRED):
             if key not in where:
-                if default is not required:
+                if default is not REQUIRED:
                     return default
                 raise ConfigError(f"{ctx} is missing required key {key!r}")
             val = where[key]
@@ -145,7 +150,7 @@ class ExperimentConfig:
                     raise ConfigError(f"{ctx}[{key!r}] must be a number")
                 return float(val)
             if kind is int:
-                if not is_int(val):
+                if not _is_int(val):
                     raise ConfigError(f"{ctx}[{key!r}] must be an integer")
                 return val
             if not isinstance(val, kind):
@@ -154,15 +159,14 @@ class ExperimentConfig:
                 )
             return val
 
+        def need_each(keys: dict, where: dict, ctx: str) -> dict:
+            return {k: need(k, t, where, ctx, d) for k, (t, d) in keys.items()}
+
         dataset = need("dataset", dict)
         kind = need("kind", str, dataset, "dataset")
         if kind not in DATASET_KEYS:
             raise ConfigError(f"unknown dataset kind {kind!r}")
-        needed, defaulted = DATASET_KEYS[kind]
-        for key in needed + defaulted:
-            if key not in dataset and key in needed:
-                raise ConfigError(f"dataset kind {kind!r} needs key {key!r}")
-            need(key, DATASET_KEY_TYPES.get(key, str), dataset, "dataset", default=None)
+        need_each(DATASET_KEYS[kind], dataset, "dataset")
         if kind == "mnist_idx" and "standardize" in dataset:
             raise ConfigError("dataset kind 'mnist_idx' takes no 'standardize' key")
         need("standardize", bool, dataset, "dataset", default=None)
@@ -175,16 +179,14 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset: {e}") from None
         arch = need("architecture", dict)
         sizes = need("layer_sizes", list, arch, "architecture")
-        if len(sizes) < 2 or not all(is_int(s) and s >= 1 for s in sizes):
+        if len(sizes) < 2 or not all(_is_int(s) and s >= 1 for s in sizes):
             raise ConfigError("layer_sizes must be >= 2 positive integers")
         if kind == "synthetic_multitask":
             _check_dims(sizes, spec.input_dim, spec.num_tasks)
         elif kind == "csv_regression":
             _check_dims(sizes, None, dataset["num_targets"])
 
-        methods = tuple(need("methods", list))
-        if not methods:
-            raise ConfigError("methods must not be empty")
+        methods = _distinct(need("methods", list), "methods")
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(
@@ -193,12 +195,7 @@ class ExperimentConfig:
 
         sched_raw = need("schedule", dict)
         try:
-            schedule = BcdSchedule(
-                need("outer_loops", int, sched_raw, "schedule"),
-                need("epochs_per_block", int, sched_raw, "schedule"),
-                need("batch_size", int, sched_raw, "schedule"),
-                need("learning_rate", float, sched_raw, "schedule"),
-            )
+            schedule = BcdSchedule(**need_each(SCHEDULE_KEYS, sched_raw, "schedule"))
         except ValueError as e:
             raise ConfigError(f"schedule: {e}") from None
 
@@ -221,23 +218,15 @@ class ExperimentConfig:
         if any("dropout" in m for m in methods) and dropout_rate == 0.0:
             raise ConfigError("a dropout method is listed but dropout_rate is 0")
 
-        training_sizes = raw.get("training_sizes")
-        if training_sizes is None:
-            training_sizes = (None,)
-        else:
-            if not isinstance(training_sizes, list) or not training_sizes:
-                raise ConfigError("training_sizes must be a non-empty list")
-            if not all(is_int(s) and s >= 1 for s in training_sizes):
-                raise ConfigError("training_sizes entries must be positive integers")
-            training_sizes = tuple(training_sizes)
+        training_sizes = (None,)  # the whole split; ``to_dict`` writes it as [null]
+        if raw.get("training_sizes") not in (None, [None]):
+            training_sizes = _int_list(raw["training_sizes"], 1, "training_sizes")
             if kind == "synthetic_multitask" and max(training_sizes) > spec.n_train:
                 raise ConfigError(
                     f"training size {max(training_sizes)} exceeds n_train {spec.n_train}"
                 )
 
-        seeds = need("seeds", list)
-        if not seeds or not all(is_int(s) and s >= 0 for s in seeds):
-            raise ConfigError("seeds must be a non-empty list of ints >= 0")
+        seeds = _int_list(need("seeds", list), 0, "seeds")
 
         num_layers = len(sizes) - 1
         layer_index = need("regularized_layer_index", int, default=-1)
@@ -257,31 +246,41 @@ class ExperimentConfig:
             weight_decay=weight_decay,
             dropout_rate=dropout_rate,
             training_sizes=training_sizes,
-            seeds=tuple(seeds),
+            seeds=seeds,
             regularized_layer_index=layer_index,
             output_dir=str(raw.get("output_dir", "runs")),
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "architecture": {"layer_sizes": list(self.layer_sizes)},
-            "methods": list(self.methods),
-            "schedule": {
-                "outer_loops": self.schedule.outer_loops,
-                "epochs_per_block": self.schedule.epochs_per_block,
-                "batch_size": self.schedule.batch_size,
-                "learning_rate": self.schedule.learning_rate,
-            },
-            "bounds_v": self.bounds_v,
-            "lambda": self.lam,
-            "weight_decay": self.weight_decay,
-            "dropout_rate": self.dropout_rate,
-            "training_sizes": [s for s in self.training_sizes],
-            "seeds": list(self.seeds),
-            "regularized_layer_index": self.regularized_layer_index,
-            "output_dir": self.output_dir,
-        }
+        """The config as the JSON object ``from_dict`` reads."""
+        out = asdict(self)
+        out["architecture"] = {"layer_sizes": list(out.pop("layer_sizes"))}
+        out["lambda"] = out.pop("lam")
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _distinct(values: list, key: str) -> tuple:
+    """``values`` as a tuple; ConfigError naming ``key`` if it is empty or an
+    entry repeats."""
+    if not values:
+        raise ConfigError(f"{key} must not be empty")
+    for i, val in enumerate(values):
+        if val in values[:i]:
+            raise ConfigError(f"{key} lists {val!r} more than once")
+    return tuple(values)
+
+
+def _int_list(values, least: int, key: str) -> tuple[int, ...]:
+    """``values`` as a tuple if it is a non-empty list of distinct ints
+    >= ``least``; ConfigError naming ``key`` otherwise."""
+    ok = isinstance(values, list) and all(_is_int(v) and v >= least for v in values)
+    if not ok:
+        raise ConfigError(f"{key} must be a list of ints >= {least}")
+    return _distinct(values, key)
 
 
 def _resolve_path(path: str) -> Path:
@@ -295,7 +294,7 @@ def _resolve_path(path: str) -> Path:
 def _synthetic_spec(dataset: dict) -> SyntheticMultitaskSpec:
     """Generator settings of a ``synthetic_multitask`` block; keys the block
     leaves out take the spec's defaults."""
-    names = {f.name for f in fields(SyntheticMultitaskSpec)}
+    names = DATASET_KEYS["synthetic_multitask"]
     return SyntheticMultitaskSpec(**{k: v for k, v in dataset.items() if k in names})
 
 
@@ -305,15 +304,8 @@ def _load_base_cached(dataset_json: str) -> tuple[Dataset | IdxSplit, Dataset]:
     spec = json.loads(dataset_json)
     kind = spec["kind"]
     if kind == "mnist_idx":
-        train = read_idx(
-            _resolve_path(spec["train_images"]),
-            _resolve_path(spec["train_labels"]),
-        )
-        test = load_idx(
-            _resolve_path(spec["test_images"]),
-            _resolve_path(spec["test_labels"]),
-        )
-        return train, test
+        paths = [_resolve_path(spec[key]) for key in IDX_KEYS]
+        return read_idx(*paths[:2]), load_idx(*paths[2:])
     if kind == "csv_regression":
         num_targets = spec["num_targets"]
         train = load_csv_regression(_resolve_path(spec["train_path"]), num_targets)
@@ -416,8 +408,9 @@ def _run_group(
         raise Diverged(f"{names[e.cell or 0]}: {e.reason}") from None
     wall_seconds = time.perf_counter() - started
 
+    header = [f.name for f in fields(EpochRecord)]
     for method, name, (state, log) in zip(methods, names, results):
-        _write_metrics_csv(out_dir / f"{name}_metrics.csv", log)
+        _write_csv(out_dir / f"{name}_metrics.csv", header, map(astuple, log.records))
         _write_summary_json(
             out_dir / f"{name}_summary.json", method, size, seed, train, test, state, log
         )
@@ -444,12 +437,18 @@ def _replacing(path: Path, mode: str = "w", **kwargs):
         raise
 
 
-def _write_metrics_csv(path: Path, log: MetricLog) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with _replacing(path, newline="") as f:
         # csv writes a Python float as its repr, so the floats round-trip.
         writer = csv.writer(f)
-        writer.writerow([f.name for f in fields(EpochRecord)])
-        writer.writerows(astuple(r) for r in log.records)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, value: dict) -> None:
+    with _replacing(path) as f:
+        json.dump(value, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _write_summary_json(
@@ -488,9 +487,7 @@ def _write_summary_json(
         summary["per_task_explained_variance"] = [
             float(x) for x in explained_variance(predict(final, test), test.targets)
         ]
-    with _replacing(path) as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path, summary)
 
 
 def _write_weights_npz(path: Path, state, dataset_kind: str) -> None:
@@ -540,9 +537,7 @@ def run_experiment(
     resolved["seeds"] = list(seeds)
     if output_override:
         resolved["output_dir"] = str(out_dir)
-    with _replacing(out_dir / "resolved_config.json") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out_dir / "resolved_config.json", resolved)
 
     # Cells that share (size, seed, dropout rate) train as one group.
     by_rate: dict[bool, list[str]] = {}
@@ -596,7 +591,7 @@ def summarize(run_directory) -> Path:
         raise SchemaMismatch(
             f"mixed logs: metric {sorted(metric_names)}, kinds {sorted(kinds)}"
         )
-    num_tasks = None
+    num_tasks = 0
     if kinds == {DatasetKind.REGRESSION}:
         task_counts = {
             len(s.get("per_task_explained_variance", [])) for s in summaries
@@ -605,38 +600,24 @@ def summarize(run_directory) -> Path:
             raise SchemaMismatch(f"mixed task counts {sorted(task_counts)}")
         num_tasks = task_counts.pop()
 
-    groups: dict[tuple[str, int], list[dict]] = {}
+    # Per (method, size), one row per seed: the test metric, then each task's EV.
+    columns = ["test_metric"] + [f"ev_task{t}" for t in range(num_tasks)]
+    groups: dict[tuple[str, int], list[list]] = {}
     for s in summaries:
-        groups.setdefault((s["method"], s["training_size"]), []).append(s)
+        per_task = s.get("per_task_explained_variance", [])[:num_tasks]
+        values = [s["final_test_metric"], *per_task]
+        groups.setdefault((s["method"], s["training_size"]), []).append(values)
 
     out_path = run_dir / "summary.csv"
-    header = ["method", "training_size", "n_seeds", "test_metric_mean", "test_metric_std"]
-    if num_tasks:
-        for t in range(num_tasks):
-            header += [f"ev_task{t}_mean", f"ev_task{t}_std"]
-    with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for method, size in sorted(groups):
-            cells = groups[(method, size)]
-            finals = np.array([c["final_test_metric"] for c in cells], dtype=float)
-            row = [
-                method,
-                size,
-                len(cells),
-                repr(float(finals.mean())),
-                repr(float(finals.std())),
-            ]
-            if num_tasks:
-                per_task = np.array(
-                    [c["per_task_explained_variance"] for c in cells], dtype=float
-                )
-                for t in range(num_tasks):
-                    row += [
-                        repr(float(per_task[:, t].mean())),
-                        repr(float(per_task[:, t].std())),
-                    ]
-            writer.writerow(row)
+    header = ["method", "training_size", "n_seeds"]
+    header += [f"{name}_{stat}" for name in columns for stat in ("mean", "std")]
+    rows = []
+    for (method, size), values in sorted(groups.items()):
+        row = [method, size, len(values)]
+        for column in np.array(values, dtype=float).T:
+            row += [repr(float(column.mean())), repr(float(column.std()))]
+        rows.append(row)
+    _write_csv(out_path, header, rows)
     return out_path
 
 
@@ -666,23 +647,18 @@ def export_correlation(run_directory, layer_index: int) -> list[Path]:
         out = run_dir / (
             wf.name.replace("_weights.npz", f"_correlation_layer{layer_index}.csv")
         )
-        with open(out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([""] + labels)
-            for label, row in zip(labels, corr):
-                writer.writerow([label] + [repr(float(x)) for x in row])
+        rows = [[lab, *(repr(float(x)) for x in row)] for lab, row in zip(labels, corr)]
+        _write_csv(out, [""] + labels, rows)
         written.append(out)
     return written
 
 
 def _parse_seed_list(text: str) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(part) for part in text.split(",") if part != "")
+        seeds = [int(part) for part in text.split(",")]
     except ValueError:
         raise ConfigError(f"bad seed list {text!r}") from None
-    if not seeds or any(s < 0 for s in seeds):
-        raise ConfigError("seed override must list ints >= 0")
-    return seeds
+    return _int_list(seeds, 0, "seed override")
 
 
 def main(argv=None) -> int:
@@ -721,7 +697,7 @@ def main(argv=None) -> int:
             config = ExperimentConfig.from_file(args.config)
             override = (
                 _parse_seed_list(args.seed_override)
-                if args.seed_override
+                if args.seed_override is not None
                 else None
             )
             return run_experiment(
@@ -742,7 +718,7 @@ def main(argv=None) -> int:
             ExperimentConfig.from_file(args.config)
             print("config OK")
             return 0
-    except AdaRegError as e:
+    except (AdaRegError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

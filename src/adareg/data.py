@@ -10,6 +10,7 @@ Every routine is deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,46 +167,36 @@ def _read_be_u32(f, path, what: str) -> int:
     return struct.unpack(">I", raw)[0]
 
 
-def read_idx(images_path, labels_path) -> IdxSplit:
-    """An IDX image/label file pair as stored: (n, rows*cols) pixel bytes."""
-    images_path = Path(images_path)
-    labels_path = Path(labels_path)
-    with _open(images_path, "rb") as f:
-        magic = _read_be_u32(f, images_path, "magic number")
-        if magic != IMAGES_MAGIC:
-            raise BadMagic(
-                f"{images_path}: magic {magic}, expected {IMAGES_MAGIC}"
-            )
-        count = _read_be_u32(f, images_path, "item count")
-        rows = _read_be_u32(f, images_path, "row count")
-        cols = _read_be_u32(f, images_path, "column count")
+def _read_idx_file(path, magic: int, size_names, what: str):
+    """(header sizes, payload) of one IDX file: its magic number, one
+    big-endian u32 per name in ``size_names``, then the product of those
+    sizes in ``what`` bytes.  BadMagic or TruncatedFile names ``path``."""
+    path = Path(path)
+    with _open(path, "rb") as f:
+        found = _read_be_u32(f, path, "magic number")
+        if found != magic:
+            raise BadMagic(f"{path}: magic {found}, expected {magic}")
+        sizes = [_read_be_u32(f, path, name) for name in size_names]
         payload = f.read()
-    expected = count * rows * cols
+    expected = math.prod(sizes)
     if len(payload) < expected:
         raise TruncatedFile(
-            f"{images_path}: expected {expected} pixel bytes, got {len(payload)}"
+            f"{path}: expected {expected} {what} bytes, got {len(payload)}"
         )
-    pixels = np.frombuffer(payload[:expected], dtype=np.uint8)
+    return sizes, np.frombuffer(payload[:expected], dtype=np.uint8)
 
-    with _open(labels_path, "rb") as f:
-        magic = _read_be_u32(f, labels_path, "magic number")
-        if magic != LABELS_MAGIC:
-            raise BadMagic(
-                f"{labels_path}: magic {magic}, expected {LABELS_MAGIC}"
-            )
-        label_count = _read_be_u32(f, labels_path, "item count")
-        label_bytes = f.read()
-    if len(label_bytes) < label_count:
-        raise TruncatedFile(
-            f"{labels_path}: expected {label_count} label bytes, "
-            f"got {len(label_bytes)}"
-        )
+
+def read_idx(images_path, labels_path) -> IdxSplit:
+    """An IDX image/label file pair as stored: (n, rows*cols) pixel bytes."""
+    (count, rows, cols), pixels = _read_idx_file(
+        images_path, IMAGES_MAGIC, ("item count", "row count", "column count"), "pixel"
+    )
+    (label_count,), labels = _read_idx_file(
+        labels_path, LABELS_MAGIC, ("item count",), "label"
+    )
     if label_count != count:
-        raise CountMismatch(
-            f"{count} images but {label_count} labels"
-        )
-    labels = np.frombuffer(label_bytes[:label_count], dtype=np.uint8).astype(int)
-    return IdxSplit(pixels.reshape(count, rows * cols), labels)
+        raise CountMismatch(f"{count} images but {label_count} labels")
+    return IdxSplit(pixels.reshape(count, rows * cols), labels.astype(int))
 
 
 def load_idx(images_path, labels_path) -> Dataset:

@@ -417,10 +417,8 @@ def sgd_step(
         w = layer.weight - learning_rate * gw
         b = layer.bias - learning_rate * grads.bias[i]
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            if net.cells is None:
-                raise Diverged(f"layer {i} produced non-finite parameters")
-            finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-            cell = int(np.flatnonzero(~finite)[0])
+            finite = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
+            cell = None if net.cells is None else int(np.flatnonzero(~finite)[0])
             raise Diverged(f"layer {i} produced non-finite parameters", cell)
         new_layers.append(replace(layer, weight=w, bias=b))
     return replace(net, layers=tuple(new_layers))

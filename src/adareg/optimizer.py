@@ -174,8 +174,7 @@ def update_precisions(state: AdaRegState) -> AdaRegState:
     """
     w = state.net.regularized_weight
     bounds = state.precisions.bounds
-    d = w.shape[1]
-    p = w.shape[0]
+    p, d = w.shape
     delta_r = SymMatrix(w @ state.precisions.omega_c.entries @ w.T)
     omega_r = inv_threshold(delta_r, d, bounds)
     delta_c = SymMatrix(w.T @ omega_r.entries @ w)
@@ -217,7 +216,6 @@ def train_block(
     outer_iter = states[0].outer_iter
     if any(s.outer_iter != outer_iter for s in states):
         raise ValueError("a group's states must share the outer iteration")
-    priors = [(c, s) for c, s in enumerate(states) if s.lam > 0.0]
     network = Network.stack([s.net for s in states])
     for epoch in range(schedule.epochs_per_block):
         shuffle_seed = _derived_seed(seed, outer_iter, epoch, 0)
@@ -228,12 +226,11 @@ def train_block(
         )
         for batch in batches(dataset, schedule.batch_size, shuffle_seed):
             grads = net_mod.backward(network, batch, dropout_rate, dropout_rng)
-            extras = [None] * len(states)
-            for c, s in priors:
-                w = network.regularized_weight
-                extras[c] = regularizer_grad(
-                    w if network.cells is None else w[c], s.precisions, s.lam
-                )
+            w = network.regularized_weight
+            extras = [
+                regularizer_grad(w_cell, s.precisions, s.lam) if s.lam > 0.0 else None
+                for w_cell, s in zip((w,) if network.cells is None else w, states)
+            ]
             network = net_mod.sgd_step(
                 network, grads, schedule.learning_rate, decays, extras
             )
@@ -277,7 +274,6 @@ def run_adareg(
     """
     group = isinstance(lam, (list, tuple))
     lams = tuple(lam) if group else (lam,)
-    decays = _per_cell(weight_decay, len(lams), "weight_decay")
     states = tuple(AdaRegState.initial(network, bounds, c_lam) for c_lam in lams)
     logs = tuple(MetricLog() for _ in lams)
 
@@ -314,7 +310,7 @@ def run_adareg(
             schedule,
             dataset,
             seed,
-            decays,
+            weight_decay,
             dropout_rate,
             epoch_callback=record,
         )

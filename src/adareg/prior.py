@@ -10,7 +10,8 @@ equivalently vec(W) is multivariate normal with covariance S_c kron S_r.
 Training works with the precision matrices O_r = S_r^{-1}, O_c = S_c^{-1}
 instead, and every formula below is written in terms of traces and
 log-determinants of the precisions, so matrix square roots are never
-materialized outside of sampling.
+materialized outside of sampling.  Only :class:`SymMatrix` builds a matrix
+from a spectrum; inverses and square roots come from its ``map_spectrum``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotPD, SpectrumOutOfBounds
-from .spectral import EigenDecomposition, SpectralBounds, SymMatrix
+from .spectral import SpectralBounds, SymMatrix
 
 __all__ = [
     "MatrixNormalPrior",
@@ -116,19 +117,21 @@ class PrecisionPair:
     def to_prior(self) -> MatrixNormalPrior:
         """Invert both precisions into the covariance parametrization."""
         return MatrixNormalPrior(
-            self.omega_r.spectrum().inverse().assemble(),
-            self.omega_c.spectrum().inverse().assemble(),
+            self.omega_r.map_spectrum(np.reciprocal),
+            self.omega_c.map_spectrum(np.reciprocal),
         )
 
 
 def _identity(n: int) -> SymMatrix:
-    return EigenDecomposition(np.ones(n), np.eye(n)).assemble()
+    return SymMatrix.from_spectrum(np.ones(n), np.eye(n))
 
 
-def _with_values(cov: SymMatrix, fn) -> np.ndarray:
-    """Entries of Q diag(fn(eigenvalues)) Q.T for cov = Q diag(.) Q.T."""
-    dec = cov.spectrum()
-    return EigenDecomposition(fn(dec.eigenvalues), dec.eigenvectors).assemble().entries
+def _checked_weight(w, p: int, d: int, expected_by: str) -> np.ndarray:
+    """``w`` as a float array; DimensionMismatch unless it is (p, d)."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (p, d):
+        raise DimensionMismatch(f"W has shape {w.shape}, {expected_by} {(p, d)}")
+    return w
 
 
 def log_density(w, prior: MatrixNormalPrior) -> float:
@@ -137,14 +140,11 @@ def log_density(w, prior: MatrixNormalPrior) -> float:
     Equals the multivariate normal log density of vec(W) under covariance
     S_c kron S_r (checked against that construction in the tests).
     """
-    w = np.asarray(w, dtype=float)
     p, d = prior.p, prior.d
-    if w.shape != (p, d):
-        raise DimensionMismatch(f"W has shape {w.shape}, prior expects {(p, d)}")
-    m = _with_values(prior.row_cov, np.reciprocal) @ w @ _with_values(
-        prior.col_cov, np.reciprocal
-    )
-    trace_term = float(np.sum(m * w))
+    w = _checked_weight(w, p, d, "prior expects")
+    omega_r = prior.row_cov.map_spectrum(np.reciprocal).entries
+    omega_c = prior.col_cov.map_spectrum(np.reciprocal).entries
+    trace_term = float(np.sum((omega_r @ w @ omega_c) * w))
     logdet_r = prior.row_cov.spectrum().logdet()
     logdet_c = prior.col_cov.spectrum().logdet()
     return (
@@ -163,8 +163,8 @@ def sample(prior: MatrixNormalPrior, seed, size: int | None = None) -> np.ndarra
     matrix; an integer returns a (size, p, d) stack from a single stream.
     """
     p, d = prior.p, prior.d
-    sqrt_r = _with_values(prior.row_cov, np.sqrt)
-    sqrt_c = _with_values(prior.col_cov, np.sqrt)
+    sqrt_r = prior.row_cov.map_spectrum(np.sqrt).entries
+    sqrt_c = prior.col_cov.map_spectrum(np.sqrt).entries
     rng = np.random.default_rng(seed)
     n = 1 if size is None else int(size)
     z = rng.standard_normal(size=(n, p, d))
@@ -179,12 +179,8 @@ def regularizer_value(w, precisions: PrecisionPair, lam: float) -> float:
     O_r^{1/2} W O_c^{1/2}, i.e. a Tikhonov penalty with structure matrix
     O_c^{1/2} kron O_r^{1/2}; it is evaluated without square roots.
     """
-    w = np.asarray(w, dtype=float)
     p, d = precisions.p, precisions.d
-    if w.shape != (p, d):
-        raise DimensionMismatch(
-            f"W has shape {w.shape}, precisions expect {(p, d)}"
-        )
+    w = _checked_weight(w, p, d, "precisions expect")
     trace_term = float(
         np.sum((precisions.omega_r.entries @ w @ precisions.omega_c.entries) * w)
     )
@@ -194,12 +190,7 @@ def regularizer_value(w, precisions: PrecisionPair, lam: float) -> float:
 
 def regularizer_grad(w, precisions: PrecisionPair, lam: float) -> np.ndarray:
     """Gradient of the trace penalty with respect to W: 2*lam * O_r W O_c."""
-    w = np.asarray(w, dtype=float)
-    p, d = precisions.p, precisions.d
-    if w.shape != (p, d):
-        raise DimensionMismatch(
-            f"W has shape {w.shape}, precisions expect {(p, d)}"
-        )
+    w = _checked_weight(w, precisions.p, precisions.d, "precisions expect")
     return (2.0 * lam) * (
         precisions.omega_r.entries @ w @ precisions.omega_c.entries
     )

@@ -13,9 +13,10 @@ is solved exactly by clamping m / r_i, where r_i are the eigenvalues of the
 The eigensolver is LAPACK's symmetric driver, called through numpy.  A
 solved matrix carries the decomposition it was built from, so each solve
 costs exactly one decomposition: log-determinants, inverses and square
-roots downstream read the stored spectrum.  The test suite checks the
-solver against an independent cyclic Jacobi implementation
-(``tests/oracles.py``).
+roots downstream read the stored spectrum.  Only :class:`SymMatrix` builds
+a matrix from a spectrum, through ``from_spectrum`` and ``map_spectrum``.
+The test suite checks the solver against an independent cyclic Jacobi
+implementation (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class SymMatrix:
     Construction symmetrizes the input, ``A <- (A + A.T) / 2``, and rejects
     non-square or non-finite input.  ``entries`` is a defensive copy; treat
     it as read-only.  :meth:`spectrum` returns the matrix's eigendecomposition:
-    the one it was assembled from, or one computed on first use.
+    the one it was built from, or one computed on first use.
     """
 
     __slots__ = ("entries", "_spectrum")
@@ -66,6 +67,32 @@ class SymMatrix:
         if self._spectrum is None:
             self._spectrum = eigh(self)
         return self._spectrum
+
+    @classmethod
+    def from_spectrum(cls, values, vectors) -> "SymMatrix":
+        """Q diag(values) Q.T, keeping that spectrum; ``values`` descend.
+
+        A uniform spectrum t is returned as exactly t*I: mathematically
+        Q (t I) Q.T = t I, and skipping the product avoids roundoff (and
+        keeps the u = v = 1 case bit-exact identity).
+        """
+        dec = EigenDecomposition(values, vectors)
+        if values.size and values[0] == values[-1]:
+            out = cls(values[0] * np.eye(len(values)))
+        else:
+            out = cls(dec.reconstruct())
+        out._spectrum = dec
+        return out
+
+    def map_spectrum(self, fn) -> "SymMatrix":
+        """Q diag(fn(eigenvalues)) Q.T, carrying that spectrum, for a monotone
+        ``fn``; values it leaves ascending (as the reciprocal does) are
+        reversed, with their vectors, back to descending order."""
+        dec = self.spectrum()
+        values, vectors = fn(dec.eigenvalues), dec.eigenvectors
+        if values.size and values[0] < values[-1]:
+            values, vectors = values[::-1], vectors[:, ::-1]
+        return SymMatrix.from_spectrum(values, vectors)
 
     @classmethod
     def wrap(cls, a) -> "SymMatrix":
@@ -111,34 +138,9 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         q = self.eigenvectors
         return (q * self.eigenvalues) @ q.T
-
-    def assemble(self) -> SymMatrix:
-        """Q diag(eigenvalues) Q.T as a SymMatrix that keeps this spectrum.
-
-        A uniform spectrum t is returned as exactly t*I: mathematically
-        Q (t I) Q.T = t I, and skipping the product avoids roundoff (and
-        keeps the u = v = 1 case bit-exact identity).
-        """
-        vals = self.eigenvalues
-        if vals.size and vals[0] == vals[-1]:
-            out = SymMatrix(vals[0] * np.eye(self.dim))
-        else:
-            out = SymMatrix(self.reconstruct())
-        out._spectrum = self
-        return out
-
-    def inverse(self) -> "EigenDecomposition":
-        """Spectrum of the inverse matrix, still in descending order."""
-        return EigenDecomposition(
-            1.0 / self.eigenvalues[::-1], self.eigenvectors[:, ::-1]
-        )
 
     def logdet(self) -> float:
         return float(np.sum(np.log(self.eigenvalues)))
@@ -173,7 +175,7 @@ def project_to_cone(a, bounds: SpectralBounds) -> SymMatrix:
     """
     dec = eigh(a)
     clamped = np.clip(dec.eigenvalues, bounds.u, bounds.v)
-    return EigenDecomposition(clamped, dec.eigenvectors).assemble()
+    return SymMatrix.from_spectrum(clamped, dec.eigenvectors)
 
 
 def inv_threshold(delta, m: int, bounds: SpectralBounds) -> SymMatrix:
@@ -202,7 +204,7 @@ def inv_threshold(delta, m: int, bounds: SpectralBounds) -> SymMatrix:
     inverted[positive] = m / r[positive]
     clamped = np.clip(inverted, bounds.u, bounds.v)
     # m / r ascends where r descends; reverse to keep the descending order.
-    return EigenDecomposition(clamped[::-1], dec.eigenvectors[:, ::-1]).assemble()
+    return SymMatrix.from_spectrum(clamped[::-1], dec.eigenvectors[:, ::-1])
 
 
 def subproblem_objective(omega, delta, m: int) -> float:

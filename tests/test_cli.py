@@ -4,6 +4,8 @@ correlation export, and byte-level determinism."""
 import json
 import os
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,17 @@ from adareg.errors import (
 )
 from mnist_surrogate import make_dataset
 from adareg import cli
-from adareg.data import Dataset, DatasetKind, load_idx, subsample, write_idx
+from adareg.data import (
+    Dataset,
+    DatasetKind,
+    SyntheticMultitaskSpec,
+    load_idx,
+    subsample,
+    write_idx,
+)
+from adareg.optimizer import BcdSchedule
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(autouse=True)
@@ -666,3 +678,133 @@ class TestGroupSweep:
         ]
         with np.load(out / "none_n32_s0_weights.npz") as z:
             assert "weight_0" in z
+
+
+class TestConfigSchema:
+    """The schema follows the dataclasses it fills; ``to_dict`` is what
+    ``from_dict`` reads."""
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [("dataset", f.name) for f in fields(SyntheticMultitaskSpec)]
+        + [("schedule", f.name) for f in fields(BcdSchedule)],
+    )
+    def test_string_field_rejected_by_from_dict_and_validate(
+        self, tmp_path, capsys, block, key
+    ):
+        raw = _synth_config(tmp_path / "runs")
+        raw[block][key] = "7"
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(raw)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["validate", str(p)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_to_dict_with_nulls(self, tmp_path):
+        raw = _synth_config("out", training_sizes=None)
+        raw["lambda"] = None
+        assert ExperimentConfig.from_dict(raw).to_dict() == {
+            "dataset": {
+                "kind": "synthetic_multitask",
+                "n_train": 48,
+                "n_test": 24,
+                "input_dim": 4,
+                "num_tasks": 2,
+                "task_correlation": 0.5,
+                "noise_std": 0.2,
+                "seed": 3,
+            },
+            "architecture": {"layer_sizes": [4, 6, 2]},
+            "methods": ["none", "adareg"],
+            "schedule": {
+                "outer_loops": 1,
+                "epochs_per_block": 2,
+                "batch_size": 16,
+                "learning_rate": 0.1,
+            },
+            "bounds_v": 10.0,
+            "lambda": None,
+            "weight_decay": 0.0,
+            "dropout_rate": 0.0,
+            "training_sizes": [None],
+            "seeds": [0],
+            "regularized_layer_index": -1,
+            "output_dir": "out",
+        }
+
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name
+    )
+    def test_example_config_round_trips(self, path):
+        config = ExperimentConfig.from_file(path)
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+class TestDistinctEntries:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("methods", ["none", "adareg", "none"]),
+            ("training_sizes", [32, 16, 32]),
+            ("seeds", [0, 0, 0, 0]),
+        ],
+    )
+    def test_repeated_entry_rejected_by_validate_and_run(
+        self, tmp_path, capsys, key, value
+    ):
+        out = tmp_path / "runs"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_synth_config(out, **{key: value})))
+        for command in ("validate", "run"):
+            assert main([command, str(p)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0,0", "0,,1", "1,", ""])
+    def test_bad_seed_override_writes_nothing(self, tmp_path, capsys, seeds):
+        out = tmp_path / "runs"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_synth_config(out)))
+        assert main(["run", str(p), "--seed-override", seeds]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+    def test_output_that_is_not_a_directory(self, tmp_path, capsys, under_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        output = blocker / "runs" if under_file else blocker
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_synth_config(tmp_path / "runs")))
+        assert main(["run", str(p), "--output", str(output)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert blocker.read_text() == "keep"
+
+    def test_failed_summary_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "runs"
+        run_experiment(ExperimentConfig.from_dict(_synth_config(out)))
+        before = summarize(out).read_bytes()
+        real_writer = cli.csv.writer
+
+        class HeaderOnly:
+            """Writes the header row, then fails."""
+
+            def __init__(self, f):
+                self.inner = real_writer(f)
+
+            def writerow(self, row):
+                self.inner.writerow(row)
+
+            def writerows(self, rows):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli.csv, "writer", HeaderOnly)
+        with pytest.raises(OSError, match="disk full"):
+            summarize(out)
+        assert (out / "summary.csv").read_bytes() == before
+        assert not (out / ".summary.csv.tmp").exists()

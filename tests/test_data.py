@@ -1,6 +1,7 @@
 """Tests for IDX/CSV ingestion, the synthetic generator, subsampling, and
 minibatching."""
 
+import re
 import struct
 from pathlib import Path
 
@@ -125,6 +126,32 @@ class TestLoadIdx:
         back = load_idx(img, lab)
         np.testing.assert_array_equal(back.inputs, ds.inputs)
         np.testing.assert_array_equal(back.targets, ds.targets)
+
+    @pytest.mark.parametrize("bad", ["images", "labels"])
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ("magic", BadMagic),
+            ("short_header", TruncatedFile),
+            ("short_payload", TruncatedFile),
+        ],
+    )
+    def test_error_names_the_file_at_fault(self, tmp_path, bad, fault, error):
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        _write_images(img, 2, 2, 2, range(8))
+        _write_labels(lab, [0, 1])
+        path = img if bad == "images" else lab
+        data = path.read_bytes()
+        if fault == "magic":
+            path.write_bytes(struct.pack(">I", 2051 + 2049) + data[4:])
+        elif fault == "short_header":
+            path.write_bytes(data[:6])
+        else:
+            path.write_bytes(data[:-1])
+        with pytest.raises(error, match=re.escape(str(path))) as info:
+            load_idx(img, lab)
+        other = lab if bad == "images" else img
+        assert str(other) not in str(info.value)
 
 
 class TestLoadCsvRegression:

@@ -19,7 +19,7 @@ from adareg.prior import (
     regularizer_value,
     sample,
 )
-from adareg.spectral import SpectralBounds, SymMatrix
+from adareg.spectral import SpectralBounds, SymMatrix, inv_threshold
 from oracles import finite_difference_grad, random_feasible
 
 B = SpectralBounds(0.5, 2.0)
@@ -266,3 +266,29 @@ class TestVolumeBounds:
                 + const
             )
             assert lhs <= rhs + 1e-8
+
+
+class TestToPrior:
+    def test_identity_pair_gives_exact_identity(self):
+        prior = PrecisionPair.identity(3, 5, B).to_prior()
+        assert prior.row_cov.entries.tobytes() == np.eye(3).tobytes()
+        assert prior.col_cov.entries.tobytes() == np.eye(5).tobytes()
+
+    def test_solved_pair_inverts_the_reversed_spectrum(self):
+        """Each covariance is Q' diag(1 / lam') Q'.T with lam' the precision's
+        eigenvalues reversed (ascending) and Q' its columns reversed, bit for
+        bit; several eigenvalues tie at v, so a re-sort could differ."""
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 4))  # rank 2
+        bounds = SpectralBounds.from_v(10.0)
+        omega_r = inv_threshold(w @ w.T, 4, bounds)
+        omega_c = inv_threshold(w.T @ omega_r.entries @ w, 6, bounds)
+        prior = PrecisionPair(omega_r, omega_c, bounds).to_prior()
+        assert np.sum(omega_r.spectrum().eigenvalues == bounds.v) >= 2
+        for omega, cov in ((omega_r, prior.row_cov), (omega_c, prior.col_cov)):
+            dec = omega.spectrum()
+            values = 1.0 / dec.eigenvalues[::-1]
+            q = dec.eigenvectors[:, ::-1]
+            a = (q * values) @ q.T
+            assert cov.entries.tobytes() == ((a + a.T) / 2.0).tobytes()
+            np.testing.assert_array_equal(cov.spectrum().eigenvalues, values)
