@@ -146,7 +146,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{ctx} is missing required key {key!r}")
             val = where[key]
             if kind is float:
-                if not isinstance(val, (int, float)) or isinstance(val, bool):
+                if not _is_number(val):
                     raise ConfigError(f"{ctx}[{key!r}] must be a number")
                 return float(val)
             if kind is int:
@@ -248,7 +248,7 @@ class ExperimentConfig:
             training_sizes=training_sizes,
             seeds=seeds,
             regularized_layer_index=layer_index,
-            output_dir=str(raw.get("output_dir", "runs")),
+            output_dir=need("output_dir", str, default="runs"),
         )
 
     def to_dict(self) -> dict:
@@ -261,6 +261,10 @@ class ExperimentConfig:
 
 def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _distinct(values: list, key: str) -> tuple:
@@ -565,6 +569,31 @@ def run_experiment(
     return 0
 
 
+def _read_summary(path: Path) -> dict:
+    """One cell summary, with every key ``summarize`` reads type-checked."""
+    try:
+        s = json.loads(path.read_text())
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise SchemaMismatch(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(s, dict) or s.get("schema") != SUMMARY_SCHEMA:
+        raise SchemaMismatch(f"{path}: not an {SUMMARY_SCHEMA!r} summary")
+    metric = s.get("final_test_metric", "")  # null when no epoch ran; "" if absent
+    per_task = s.get("per_task_explained_variance", [])
+    valid = {
+        "method": isinstance(s.get("method"), str),
+        "training_size": _is_int(s.get("training_size")),
+        "dataset_kind": isinstance(s.get("dataset_kind"), str),
+        "metric_name": isinstance(s.get("metric_name"), str),
+        "final_test_metric": metric is None or _is_number(metric),
+        "per_task_explained_variance": isinstance(per_task, list)
+        and all(map(_is_number, per_task)),
+    }
+    for key, ok in valid.items():
+        if not ok:
+            raise SchemaMismatch(f"{path}: {key!r} is missing or mistyped")
+    return s
+
+
 def summarize(run_directory) -> Path:
     """Aggregate per-cell summaries into one CSV row per (method, size).
 
@@ -575,16 +604,7 @@ def summarize(run_directory) -> Path:
     paths = sorted(run_dir.glob("*_summary.json"))
     if not paths:
         raise EmptyDirectory(f"no *_summary.json files under {run_dir}")
-    summaries = []
-    for p in paths:
-        try:
-            s = json.loads(p.read_text())
-        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-            raise SchemaMismatch(f"{p}: not valid JSON: {e}") from None
-        if not isinstance(s, dict) or s.get("schema") != SUMMARY_SCHEMA:
-            raise SchemaMismatch(f"{p}: not an {SUMMARY_SCHEMA!r} summary")
-        summaries.append(s)
-
+    summaries = [_read_summary(p) for p in paths]
     metric_names = {s["metric_name"] for s in summaries}
     kinds = {s["dataset_kind"] for s in summaries}
     if len(metric_names) > 1 or len(kinds) > 1:
@@ -633,7 +653,7 @@ def export_correlation(run_directory, layer_index: int) -> list[Path]:
     written = []
     for wf in weight_files:
         try:
-            with np.load(wf) as z:
+            with open(wf, "rb") as f, np.load(f) as z:
                 key = f"weight_{layer_index}"
                 if key not in z:
                     raise MissingWeights(f"{wf}: no saved layer {layer_index}")

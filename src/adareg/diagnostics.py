@@ -1,15 +1,16 @@
 """Generalization diagnostics for trained weight matrices.
 
-The quantities of interest are the spectral norm ||W||_2, the stable rank
-srank(W) = ||W||_F^2 / ||W||_2^2 (a smooth stand-in for rank that ignores
-tiny singular values), per-layer spectrum reports, a capacity proxy
-sqrt(prod_j ||W_j||_2^2 * sum_j srank(W_j) / n) with the bound's hidden
+The quantities of interest are the spectral norm ||W||_2 (one LAPACK SVD),
+the stable rank srank(W) = ||W||_F^2 / ||W||_2^2 (a smooth stand-in for rank
+that ignores tiny singular values), per-layer spectrum reports, a capacity
+proxy sqrt(prod_j ||W_j||_2^2 * sum_j srank(W_j) / n) with the bound's hidden
 constants dropped, Pearson correlations between the rows of a weight matrix
 (one row per class or task), and explained variance for regression.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,10 @@ __all__ = [
     "explained_variance",
 ]
 
-POWER_ITERATION_CAP = 10_000
-POWER_ITERATION_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Stable rank, spectral norm, and Frobenius norm of one matrix."""
+    """Stable rank, spectral norm, and Frobenius norm of one nonzero matrix."""
 
     stable_rank: float
     spectral_norm: float
@@ -42,63 +40,29 @@ class SpectrumReport:
     def of(cls, w) -> "SpectrumReport":
         w = np.asarray(w, dtype=float)
         s = spectral_norm(w)
+        if s == 0.0:
+            raise ZeroMatrix("stable rank of the zero matrix is undefined")
         f = float(np.sqrt(np.sum(w * w)))
         return cls(f * f / (s * s), s, f)
 
 
-def _power_iterate(w: np.ndarray, start: np.ndarray) -> tuple[float, bool]:
-    """Power iteration on W.T @ W from a given start vector.
-
-    Returns (largest eigenvalue of W.T W, converged flag); the products are
-    applied as W.T (W v) so the Gram matrix is never formed.
-    """
-    v = start / np.linalg.norm(start)
-    lam = 0.0
-    for _ in range(POWER_ITERATION_CAP):
-        wv = w @ v
-        new_lam = float(wv @ wv)
-        gv = w.T @ wv
-        norm = np.linalg.norm(gv)
-        if norm == 0.0:
-            # v landed in the kernel; caller restarts from a fresh vector.
-            return 0.0, False
-        v = gv / norm
-        if abs(new_lam - lam) <= POWER_ITERATION_RTOL * new_lam:
-            return new_lam, True
-        lam = new_lam
-    return lam, False
-
-
-def spectral_norm(w, seed: int = 0) -> float:
-    """Largest singular value of W by seeded power iteration.
-
-    Deterministic: the start vector comes from a fixed generator.  If the
-    iteration stalls (start vector orthogonal to the top singular space, or
-    a degenerate gap) it restarts once from the next seed before raising
-    ConvergenceFailure.
-    """
+def spectral_norm(w) -> float:
+    """Largest singular value of W by one LAPACK SVD; 0 for W = 0."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {w.shape}")
-    if not np.any(w):
-        return 0.0
-    for attempt in (seed, seed + 1):
-        start = np.random.default_rng(attempt).standard_normal(w.shape[1])
-        lam, ok = _power_iterate(w, start)
-        if ok:
-            return float(np.sqrt(lam))
-    raise ConvergenceFailure(
-        f"power iteration did not converge in {POWER_ITERATION_CAP} steps"
-    )
+    if not np.isfinite(w).all():
+        raise ValueError("matrix has a non-finite entry")
+    try:
+        s = np.linalg.svd(w, compute_uv=False)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceFailure(f"SVD did not converge: {e}") from None
+    return float(s[0]) if s.size else 0.0
 
 
 def stable_rank(w) -> float:
     """||W||_F^2 / ||W||_2^2; between 1 and rank(W) for nonzero W."""
-    w = np.asarray(w, dtype=float)
-    if not np.any(w):
-        raise ZeroMatrix("stable rank of the zero matrix is undefined")
-    s = spectral_norm(w)
-    return float(np.sum(w * w)) / (s * s)
+    return SpectrumReport.of(w).stable_rank
 
 
 def generalization_proxy(network: Network, n: int) -> float:
@@ -109,15 +73,9 @@ def generalization_proxy(network: Network, n: int) -> float:
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    prod_sq_norms = 1.0
-    sum_sranks = 0.0
-    for layer in network.layers:
-        s = spectral_norm(layer.weight)
-        if s == 0.0:
-            raise ZeroMatrix("generalization proxy needs nonzero layers")
-        prod_sq_norms *= s * s
-        sum_sranks += float(np.sum(layer.weight**2)) / (s * s)
-    return float(np.sqrt(prod_sq_norms * sum_sranks / n))
+    reports = [SpectrumReport.of(layer.weight) for layer in network.layers]
+    prod_sq_norms = math.prod(r.spectral_norm**2 for r in reports)
+    return math.sqrt(prod_sq_norms * sum(r.stable_rank for r in reports) / n)
 
 
 def correlation_matrix(w) -> np.ndarray:

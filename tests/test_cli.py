@@ -183,6 +183,7 @@ class TestConfigValidation:
         (("dataset", "n_train"), 64.7),
         (("dataset", "num_targets"), "x"),
         (("dataset", "seed"), -1),
+        (("output_dir",), ["a", 1]),
     ]
     # A dataset block for the keys only the CSV kind reads.
     CSV_DATASET = {
@@ -411,6 +412,31 @@ class TestSummarize:
         (tmp_path / "x_summary.json").write_text("[1, 2]")
         with pytest.raises(SchemaMismatch, match="x_summary.json"):
             summarize(tmp_path)
+
+    def test_tagged_summary_missing_a_key(self, tmp_path):
+        (tmp_path / "x_summary.json").write_text(json.dumps({"schema": "adareg-run-v1"}))
+        with pytest.raises(SchemaMismatch, match="x_summary.json"):
+            summarize(tmp_path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("final_test_metric", "abc"),
+            ("final_test_metric", True),
+            ("training_size", None),
+            ("per_task_explained_variance", ["abc"]),
+            ("per_task_explained_variance", 0.5),
+        ],
+    )
+    def test_mistyped_summary_value(self, tmp_path, key, value):
+        out = tmp_path / "runs"
+        run_experiment(ExperimentConfig.from_dict(_synth_config(out, methods=["none"])))
+        path = out / "none_n32_s0_summary.json"
+        doctored = json.loads(path.read_text())
+        doctored[key] = value
+        path.write_text(json.dumps(doctored))
+        with pytest.raises(SchemaMismatch, match=f"none_n32_s0_summary.json.*{key}"):
+            summarize(out)
 
 
 class TestExportCorrelation:

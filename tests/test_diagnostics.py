@@ -1,8 +1,9 @@
 """Tests for spectrum, correlation, and explained-variance diagnostics.
 
-The power-iteration spectral norm is checked against the cyclic Jacobi
-oracle in ``oracles.py`` (an algorithmically independent route) and
-against numpy's SVD; correlations are checked against np.corrcoef.
+The SVD spectral norm is checked against the cyclic Jacobi oracle in
+``oracles.py`` (an algorithmically independent route) and against a
+matrix built from known singular values; correlations are checked against
+np.corrcoef.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from adareg.diagnostics import (
     spectral_norm,
     stable_rank,
 )
-from adareg.errors import DegenerateRow, ZeroMatrix, ZeroVariance
+from adareg.errors import ConvergenceFailure, DegenerateRow, ZeroMatrix, ZeroVariance
 from adareg.net import Activation, DenseLayer, LossKind, Network
 from oracles import jacobi_eigh, random_orthogonal
 
@@ -60,6 +61,32 @@ class TestSpectralNorm:
         w = np.random.default_rng(3).normal(size=(6, 6))
         assert spectral_norm(w) == spectral_norm(w)
 
+    def test_nearly_degenerate_top_gap(self):
+        # sigma_2 / sigma_1 = 1 - 1e-4: an iteration on W^T W would need
+        # tens of thousands of steps here; the SVD is exact to roundoff.
+        rng = np.random.default_rng(13)
+        u = random_orthogonal(rng, 50)
+        v = np.linalg.qr(rng.normal(size=(784, 50)))[0]
+        sigma = np.concatenate([[1.0, 1.0 - 1e-4], np.linspace(0.9, 0.1, 48)])
+        w = (u * sigma) @ v.T
+        assert spectral_norm(w) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("fn", [spectral_norm, stable_rank, SpectrumReport.of])
+    def test_non_finite_entry_raises(self, fn, bad):
+        w = np.ones((3, 2))
+        w[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(w)
+
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceFailure):
+            spectral_norm(np.eye(2))
+
 
 class TestStableRank:
     def test_identity(self):
@@ -99,6 +126,10 @@ class TestSpectrumReport:
         ratio = rep.frobenius_norm**2 / rep.spectral_norm**2
         assert rep.stable_rank == pytest.approx(ratio, rel=1e-10)
         assert 1.0 <= rep.stable_rank <= 4.0 + 1e-8
+
+    def test_zero_matrix_raises(self):
+        with pytest.raises(ZeroMatrix):
+            SpectrumReport.of(np.zeros((3, 2)))
 
 
 class TestGeneralizationProxy:
