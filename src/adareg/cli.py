@@ -49,6 +49,7 @@ from .diagnostics import SpectrumReport, correlation_matrix, explained_variance
 from .errors import (
     AdaRegError,
     ConfigError,
+    DimensionMismatch,
     Diverged,
     EmptyDirectory,
     MissingWeights,
@@ -147,7 +148,7 @@ class ExperimentConfig:
             val = where[key]
             if kind is float:
                 if not _is_number(val):
-                    raise ConfigError(f"{ctx}[{key!r}] must be a number")
+                    raise ConfigError(f"{ctx}[{key!r}] must be a finite number")
                 return float(val)
             if kind is int:
                 if not _is_int(val):
@@ -235,6 +236,11 @@ class ExperimentConfig:
                 f"regularized_layer_index {layer_index} is out of range for "
                 f"{num_layers} layers"
             )
+        if sizes[:-1][layer_index] < 2:
+            raise ConfigError(
+                "layer_sizes: the regularized layer needs >= 2 inputs for its "
+                f"row correlations, got {sizes[:-1][layer_index]}"
+            )
 
         return cls(
             dataset=dataset,
@@ -264,7 +270,10 @@ def _is_int(val) -> bool:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A finite int or float; ``json`` also reads NaN and +-Infinity."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    return abs(val) <= sys.float_info.max
 
 
 def _distinct(values: list, key: str) -> tuple:
@@ -661,7 +670,10 @@ def export_correlation(run_directory, layer_index: int) -> list[Path]:
                 kind = str(z["dataset_kind"])
         except (BadZipFile, EOFError, KeyError, OSError, ValueError) as e:
             raise MissingWeights(f"{wf}: unreadable weights file: {e}") from None
-        corr = correlation_matrix(w)
+        try:
+            corr = correlation_matrix(w)
+        except ValueError as e:  # a layer with one input has no correlations
+            raise DimensionMismatch(f"{wf}: layer {layer_index}: {e}") from None
         prefix = "class" if kind == DatasetKind.CLASSIFICATION else "task"
         labels = [f"{prefix}_{i}" for i in range(corr.shape[0])]
         out = run_dir / (

@@ -232,11 +232,14 @@ def write_idx(ds: Dataset, images_path, labels_path, rows: int, cols: int) -> No
 
 def _parse_cell(cell: str, row: int, col: int, path) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
+        value = np.nan
+    if not np.isfinite(value):  # also "nan" and "inf", which float() reads
         raise ParseError(
-            f"{path}: row {row}, column {col}: cannot parse {cell!r}"
-        ) from None
+            f"{path}: row {row}, column {col}: {cell!r} is not a finite number"
+        )
+    return value
 
 
 def load_csv_regression(path, num_targets: int) -> Dataset:

@@ -10,7 +10,7 @@ class DimensionMismatch(AdaRegError):
 
 
 class ConvergenceFailure(AdaRegError):
-    """An iterative solver exceeded its iteration cap."""
+    """LAPACK reported that a decomposition (eigh or SVD) did not converge."""
 
 
 class NotPSD(AdaRegError):

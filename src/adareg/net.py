@@ -107,10 +107,6 @@ class Network:
         return self.layers[0].in_dim
 
     @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-    @property
     def regularized_weight(self) -> np.ndarray:
         return self.layers[self.regularized_layer_index].weight
 
@@ -206,24 +202,12 @@ class Batch:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """Each layer's input plus the dropout masks and rate: all backprop
-    reads.  A ReLU mask comes from the layer's output, not its preactivation.
-    The first layer's input is the caller's (rows, in) array for every cell;
-    masks are (rows, units), shared by every cell."""
+    """All backprop reads: each layer's input and dropout mask (None where
+    none was drawn).  The first input is the caller's (rows, in) array for
+    every cell; masks are (rows, units), shared by every cell."""
 
-    layers: tuple[DenseLayer, ...]
     layer_inputs: tuple[np.ndarray, ...]
     dropout_masks: tuple[np.ndarray | None, ...]
-    dropout_rate: float
-
-    @property
-    def preactivations(self) -> tuple[np.ndarray, ...]:
-        """Each layer's ``x @ W.T + b``, recomputed from the stored inputs."""
-        pairs = zip(self.layer_inputs, self.layers)
-        return tuple(
-            x @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
-            for x, layer in pairs
-        )
 
 
 @dataclass(frozen=True)
@@ -253,14 +237,14 @@ def forward(
     dropout_rate: float = 0.0,
     dropout_rng=None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network, returning outputs and the caches backprop needs.
+    """Run the network, returning outputs and the cache backprop reads.
 
     Each layer allocates one array, the matmul's output, and adds the bias
     and applies ReLU to it in place; ``inputs`` is never written to.  A
     stacked network returns (cells, rows, out) outputs.
     Dropout (training only) applies to hidden activations when
-    ``dropout_rate > 0`` and a generator is supplied; the final layer's
-    outputs are never dropped.
+    ``dropout_rate > 0`` and a generator is supplied, and only then is a
+    mask recorded; the final layer's outputs are never dropped.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
@@ -283,13 +267,7 @@ def forward(
             masks.append(mask)
         else:
             masks.append(None)
-    cache = ForwardCache(
-        net.layers,
-        tuple(layer_inputs),
-        tuple(masks),
-        dropout_rate if use_dropout else 0.0,
-    )
-    return a, cache
+    return a, ForwardCache(tuple(layer_inputs), tuple(masks))
 
 
 def loss_from_outputs(net: Network, outputs: np.ndarray, targets) -> float:
@@ -350,9 +328,10 @@ def backward(
     """Exact gradients of the batch loss for every weight and bias.
 
     Runs its own forward pass (with dropout when configured) and
-    backpropagates through the cached inputs and masks.  A ReLU mask is
-    ``output > 0``, which equals ``preactivation > 0`` wherever dropout kept
-    the unit; where it dropped the unit, delta is already +-0 either way.
+    backpropagates through the cached inputs and masks; a cached dropout
+    mask was drawn at ``dropout_rate``.  A ReLU mask is ``output > 0`` (the
+    next layer's cached input), equal to ``preactivation > 0`` where dropout
+    kept the unit; where it dropped the unit, delta is already +-0 either way.
     Masks apply in place to delta arrays this call allocated.  A stacked
     network gives stacked gradients, (cells, out, in) and (cells, out).
     """
@@ -367,7 +346,7 @@ def backward(
         # delta currently holds dLoss/d(activation output of layer i).
         if cache.dropout_masks[i] is not None:
             delta *= cache.dropout_masks[i]
-            delta /= 1.0 - cache.dropout_rate
+            delta /= 1.0 - dropout_rate
         if layer.activation is Activation.RELU:
             delta *= layer_outputs[i] > 0.0
         weight_grads[i] = delta.swapaxes(-1, -2) @ cache.layer_inputs[i]

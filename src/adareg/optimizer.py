@@ -63,8 +63,8 @@ class AdaRegState:
                 f"precision dims {(self.precisions.p, self.precisions.d)} do "
                 f"not match regularized weight {w.shape}"
             )
-        if self.lam < 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
 
     @classmethod
     def initial(cls, network: Network, bounds: SpectralBounds, lam: float) -> "AdaRegState":

@@ -10,11 +10,12 @@ C clamps the eigenvalues themselves, and the precision subproblem
 is solved exactly by clamping m / r_i, where r_i are the eigenvalues of the
 (PSD) data matrix delta.
 
-The eigensolver is LAPACK's symmetric driver, called through numpy.  A
-solved matrix carries the decomposition it was built from, so each solve
-costs exactly one decomposition: log-determinants, inverses and square
-roots downstream read the stored spectrum.  Only :class:`SymMatrix` builds
-a matrix from a spectrum, through ``from_spectrum`` and ``map_spectrum``.
+The eigensolver is LAPACK's symmetric driver, called through numpy by
+:func:`eigh` from ``SymMatrix.spectrum`` only.  Both solvers rebuild
+through ``map_spectrum``, and a solved matrix carries the decomposition it
+was built from, so each solve costs exactly one decomposition:
+log-determinants, inverses and square roots downstream read the stored
+spectrum.  Only :class:`SymMatrix` builds a matrix from a spectrum.
 The test suite checks the solver against an independent cyclic Jacobi
 implementation (``tests/oracles.py``).
 """
@@ -146,9 +147,9 @@ class EigenDecomposition:
         return float(np.sum(np.log(self.eigenvalues)))
 
 
-def threshold(x: float, bounds: SpectralBounds) -> float:
-    """Clamp ``x`` into [u, v]; +inf maps to v."""
-    return max(bounds.u, min(bounds.v, x))
+def threshold(x, bounds: SpectralBounds):
+    """Clamp ``x``, a number or an array, into [u, v]; +inf maps to v."""
+    return np.clip(x, bounds.u, bounds.v)
 
 
 def eigh(a) -> EigenDecomposition:
@@ -171,40 +172,41 @@ def project_to_cone(a, bounds: SpectralBounds) -> SymMatrix:
     """Euclidean (Frobenius) projection of a symmetric matrix onto C.
 
     Decompose A = Q diag(lam) Q.T and clamp the eigenvalues into [u, v]; the
-    result is the unique nearest member of C.  Idempotent.
+    result is the unique nearest member of C.  Idempotent.  A SymMatrix
+    that already carries its spectrum is not decomposed again.
     """
-    dec = eigh(a)
-    clamped = np.clip(dec.eigenvalues, bounds.u, bounds.v)
-    return SymMatrix.from_spectrum(clamped, dec.eigenvectors)
+    return SymMatrix.wrap(a).map_spectrum(lambda lam: threshold(lam, bounds))
 
 
 def inv_threshold(delta, m: int, bounds: SpectralBounds) -> SymMatrix:
     """Exact minimizer of tr(omega @ delta) - m*log det(omega) over C.
 
     ``delta`` must be symmetric PSD (eigenvalues slightly below zero, down
-    to -1e-6 * ||delta||_2, are treated as numerical noise and clamped).
-    With delta = Q diag(r) Q.T the minimizer is Q diag(clamp(m / r)) Q.T,
-    where m / 0 = +inf clamps to v: zero eigenvalues of a rank-deficient
-    delta put no data constraint on that direction, so the precision takes
-    its largest admissible value.  The result carries its spectrum, so
-    nothing downstream decomposes it again.
+    to -1e-6 * ||delta||_2, are treated as numerical noise).  With
+    delta = Q diag(r) Q.T the minimizer is Q diag(clamp(m / r)) Q.T, where
+    m / r = +inf for r <= 0 clamps to v: zero eigenvalues of a
+    rank-deficient delta put no data constraint on that direction, so the
+    precision takes its largest admissible value.  A SymMatrix ``delta``
+    that already carries its spectrum is not decomposed again, and the
+    result carries its own, so nothing downstream decomposes it again.
     """
     if m <= 0:
         raise ValueError(f"m must be a positive integer, got {m}")
-    dec = eigh(delta)
-    r = dec.eigenvalues
+    delta = SymMatrix.wrap(delta)
+    r = delta.spectrum().eigenvalues
     spec_norm = max(abs(r[0]), abs(r[-1]))
     if r[-1] < -1e-6 * spec_norm:
         raise NotPSD(
             f"matrix has eigenvalue {r[-1]:.3e} below -1e-6 * ||delta||_2"
         )
-    r = np.maximum(r, 0.0)
-    inverted = np.full_like(r, np.inf)
-    positive = r > 0.0
-    inverted[positive] = m / r[positive]
-    clamped = np.clip(inverted, bounds.u, bounds.v)
-    # m / r ascends where r descends; reverse to keep the descending order.
-    return SymMatrix.from_spectrum(clamped[::-1], dec.eigenvectors[:, ::-1])
+
+    def clamped_inverse(r):
+        inverted = np.full_like(r, np.inf)
+        positive = r > 0.0
+        inverted[positive] = m / r[positive]
+        return threshold(inverted, bounds)
+
+    return delta.map_spectrum(clamped_inverse)
 
 
 def subproblem_objective(omega, delta, m: int) -> float:

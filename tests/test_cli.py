@@ -156,6 +156,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="valid JSON"):
             ExperimentConfig.from_file(p)
 
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        p = tmp_path / "missing.json"
+        with pytest.raises(ConfigError, match="cannot read config"):
+            ExperimentConfig.from_file(p)
+        assert main(["validate", str(p)]) == 1
+        assert "error: cannot read config" in capsys.readouterr().err
+
     def test_validate_subcommand(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(_synth_config(tmp_path / "runs")))
@@ -184,6 +191,23 @@ class TestConfigValidation:
         (("dataset", "num_targets"), "x"),
         (("dataset", "seed"), -1),
         (("output_dir",), ["a", 1]),
+        # json reads NaN and Infinity as floats
+        (("lambda",), float("nan")),
+        (("bounds_v",), float("inf")),
+        (("weight_decay",), float("nan")),
+        (("schedule", "learning_rate"), float("inf")),
+        (("dataset", "noise_std"), float("inf")),
+        (("bounds_v",), 0.5),
+        (("lambda",), -1),
+        (("weight_decay",), -1),
+        (("dropout_rate",), 1.0),
+        (("architecture", "layer_sizes"), [4]),
+        (("architecture", "layer_sizes"), [4, 0, 2]),
+        # the regularized layer's row correlations need >= 2 inputs
+        (("architecture", "layer_sizes"), [4, 1, 2]),
+        (("dataset", "kind"), "parquet"),
+        (("dataset", "num_targets"), 0),
+        (("methods",), []),
     ]
     # A dataset block for the keys only the CSV kind reads.
     CSV_DATASET = {
@@ -395,6 +419,15 @@ class TestSummarize:
         with pytest.raises(SchemaMismatch):
             summarize(out)
 
+    def test_mixed_task_counts(self, tmp_path):
+        out = tmp_path / "runs"
+        run_experiment(ExperimentConfig.from_dict(_synth_config(out, methods=["none"])))
+        doctored = json.loads((out / "none_n32_s0_summary.json").read_text())
+        doctored["per_task_explained_variance"].append(0.5)
+        (out / "none_n32_s1_summary.json").write_text(json.dumps(doctored))
+        with pytest.raises(SchemaMismatch, match=r"mixed task counts \[2, 3\]"):
+            summarize(out)
+
     def test_unknown_schema_version(self, tmp_path):
         (tmp_path / "x_summary.json").write_text(json.dumps({"schema": "other"}))
         with pytest.raises(SchemaMismatch):
@@ -426,6 +459,7 @@ class TestSummarize:
             ("training_size", None),
             ("per_task_explained_variance", ["abc"]),
             ("per_task_explained_variance", 0.5),
+            ("final_test_metric", float("nan")),
         ],
     )
     def test_mistyped_summary_value(self, tmp_path, key, value):
@@ -517,6 +551,69 @@ class TestMainEntry:
         out = tmp_path / "runs"
         cfg_path.write_text(json.dumps(_synth_config(out, methods=["adareg"])))
         main(["run", str(cfg_path)])
+        assert main(["export-correlation", str(out), "--layer", "1"]) == 0
+
+
+class TestCsvRegression:
+    """The ``csv_regression`` dataset kind, end to end through ``main``."""
+
+    def _config(self, tmp_path, out, test_rows):
+        rng = np.random.default_rng(9)
+        rows = ["x0,x1,x2,y0,y1"]
+        rows += [",".join(map(repr, rng.normal(size=5).tolist())) for _ in range(40)]
+        (tmp_path / "train.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "test.csv").write_text("\n".join(test_rows or rows[:21]) + "\n")
+        cfg = _synth_config(out, architecture={"layer_sizes": [3, 5, 2]})
+        cfg["dataset"] = {
+            "kind": "csv_regression",
+            "train_path": str(tmp_path / "train.csv"),
+            "test_path": str(tmp_path / "test.csv"),
+            "num_targets": 2,
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        return p
+
+    def test_run_and_summarize(self, tmp_path):
+        out = tmp_path / "runs"
+        p = self._config(tmp_path, out, None)
+        assert main(["run", str(p)]) == 0
+        assert main(["summarize", str(out)]) == 0
+        header, *rows = (out / "summary.csv").read_text().strip().splitlines()
+        assert "ev_task1_mean" in header.split(",")
+        assert [row.split(",")[:3] for row in rows] == [
+            ["adareg", "32", "1"],
+            ["none", "32", "1"],
+        ]
+        summary = json.loads((out / "adareg_n32_s0_summary.json").read_text())
+        assert summary["metric_name"] == "explained_variance"
+        assert len(summary["per_task_explained_variance"]) == 2
+
+    def test_nan_cell_fails_before_any_file_is_written(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        p = self._config(tmp_path, out, ["x0,x1,x2,y0,y1", "1,2,3,4,5", "1,nan,3,4,5"])
+        assert main(["validate", str(p)]) == 0  # cells are read only by run
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "test.csv: row 2, column 1: 'nan' is not a finite number" in err
+        assert not out.exists()
+
+
+class TestSingleInputLayer:
+    def test_export_of_a_one_input_layer_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = _synth_config(out, methods=["adareg"])
+        cfg["dataset"]["input_dim"] = 1
+        cfg["architecture"]["layer_sizes"] = [1, 6, 2]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 0
+        capsys.readouterr()
+        assert main(["export-correlation", str(out), "--layer", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "layer 0: need a matrix with >= 2 columns, got (6, 1)" in err
         assert main(["export-correlation", str(out), "--layer", "1"]) == 0
 
 

@@ -177,6 +177,13 @@ class TestLoadCsvRegression:
         with pytest.raises(ParseError, match="row 1, column 1"):
             load_csv_regression(p, num_targets=1)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_is_a_parse_error(self, tmp_path, cell):
+        p = tmp_path / "data.csv"
+        p.write_text(f"a,b,y\n1,2,3\n4,{cell},6\n")
+        with pytest.raises(ParseError, match=f"data.csv: row 2, column 1: '{cell}'"):
+            load_csv_regression(p, num_targets=1)
+
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1,2,3\n4,5\n")

@@ -125,7 +125,7 @@ class TestForward:
         net = Network((l1, l2), LossKind.SQUARED_ERROR)
         out, cache = forward(net, np.array([[1.0, -2.0]]))
         np.testing.assert_allclose(out, [[4.0]])
-        np.testing.assert_allclose(cache.preactivations[0], [[1.5, -2.0]])
+        np.testing.assert_allclose(cache.layer_inputs[1], [[1.5, 0.0]])
 
     def test_dimension_mismatch(self):
         net = Network.init([3, 2], LossKind.SQUARED_ERROR, seed=0)

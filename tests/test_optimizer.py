@@ -367,6 +367,12 @@ class TestRunAdareg:
         assert [r.outer_iter for r in log.records] == [0, 0, 0, 1, 1, 1]
         assert state.outer_iter == 2
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_lambda_must_be_finite_and_non_negative(self, lam):
+        net = Network.init([3, 2], LossKind.SQUARED_ERROR, seed=26)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            run_adareg(net, BcdSchedule(1, 1, 8, 0.1), _toy_regression(), B10, lam, 27)
+
     def test_degenerate_bounds_match_weight_decay_bitwise(self):
         # u = v = 1 pins the precisions at the identity, so the loop must
         # reproduce SGD with weight decay 2*lambda bit for bit.  The decay
