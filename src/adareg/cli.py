@@ -36,6 +36,7 @@ from .data import (
     Dataset,
     DatasetKind,
     IdxSplit,
+    MAX_FLOAT64S,
     SyntheticMultitaskSpec,
     load_csv_regression,
     load_idx,
@@ -93,16 +94,17 @@ def _keys_of(cls) -> dict:
     }
 
 
-# Per dataset kind: each key its loader reads, as (type, default).  Besides
-# these, every kind but ``mnist_idx`` may set ``standardize``.
+# Per dataset kind: each key its loader reads, as (type, default).
+STANDARDIZE = {"standardize": (bool, True)}
 DATASET_KEYS = {
     "mnist_idx": dict.fromkeys(IDX_KEYS, (str, REQUIRED)),
     "csv_regression": {
         "train_path": (str, REQUIRED),
         "test_path": (str, REQUIRED),
         "num_targets": (int, REQUIRED),
+        **STANDARDIZE,
     },
-    "synthetic_multitask": _keys_of(SyntheticMultitaskSpec),
+    "synthetic_multitask": {**_keys_of(SyntheticMultitaskSpec), **STANDARDIZE},
 }
 SCHEDULE_KEYS = _keys_of(BcdSchedule)
 
@@ -160,17 +162,20 @@ class ExperimentConfig:
                 )
             return val
 
+        def known_only(where: dict, keys, ctx: str) -> None:
+            unknown = [key for key in where if key not in keys]
+            if unknown:
+                raise ConfigError(f"unknown {ctx} key(s): {', '.join(unknown)}")
+
         def need_each(keys: dict, where: dict, ctx: str) -> dict:
+            known_only(where, keys, ctx)
             return {k: need(k, t, where, ctx, d) for k, (t, d) in keys.items()}
 
         dataset = need("dataset", dict)
         kind = need("kind", str, dataset, "dataset")
         if kind not in DATASET_KEYS:
             raise ConfigError(f"unknown dataset kind {kind!r}")
-        need_each(DATASET_KEYS[kind], dataset, "dataset")
-        if kind == "mnist_idx" and "standardize" in dataset:
-            raise ConfigError("dataset kind 'mnist_idx' takes no 'standardize' key")
-        need("standardize", bool, dataset, "dataset", default=None)
+        need_each({"kind": (str, REQUIRED), **DATASET_KEYS[kind]}, dataset, "dataset")
         if kind == "csv_regression" and dataset["num_targets"] < 1:
             raise ConfigError("dataset['num_targets'] must be >= 1")
         if kind == "synthetic_multitask":
@@ -179,9 +184,12 @@ class ExperimentConfig:
             except ValueError as e:
                 raise ConfigError(f"dataset: {e}") from None
         arch = need("architecture", dict)
+        known_only(arch, ["layer_sizes"], "architecture")
         sizes = need("layer_sizes", list, arch, "architecture")
         if len(sizes) < 2 or not all(_is_int(s) and s >= 1 for s in sizes):
             raise ConfigError("layer_sizes must be >= 2 positive integers")
+        if max(a * b for a, b in zip(sizes, sizes[1:])) > MAX_FLOAT64S:
+            raise ConfigError("layer_sizes ask for a weight larger than numpy can index")
         if kind == "synthetic_multitask":
             _check_dims(sizes, spec.input_dim, spec.num_tasks)
         elif kind == "csv_regression":
@@ -242,7 +250,7 @@ class ExperimentConfig:
                 f"row correlations, got {sizes[:-1][layer_index]}"
             )
 
-        return cls(
+        config = cls(
             dataset=dataset,
             layer_sizes=tuple(sizes),
             methods=methods,
@@ -256,6 +264,8 @@ class ExperimentConfig:
             regularized_layer_index=layer_index,
             output_dir=need("output_dir", str, default="runs"),
         )
+        known_only(raw, config.to_dict(), "config")  # the keys to_dict writes
+        return config
 
     def to_dict(self) -> dict:
         """The config as the JSON object ``from_dict`` reads."""
@@ -307,7 +317,7 @@ def _resolve_path(path: str) -> Path:
 def _synthetic_spec(dataset: dict) -> SyntheticMultitaskSpec:
     """Generator settings of a ``synthetic_multitask`` block; keys the block
     leaves out take the spec's defaults."""
-    names = DATASET_KEYS["synthetic_multitask"]
+    names = {f.name for f in fields(SyntheticMultitaskSpec)}
     return SyntheticMultitaskSpec(**{k: v for k, v in dataset.items() if k in names})
 
 
@@ -425,7 +435,7 @@ def _run_group(
     for method, name, (state, log) in zip(methods, names, results):
         _write_csv(out_dir / f"{name}_metrics.csv", header, map(astuple, log.records))
         _write_summary_json(
-            out_dir / f"{name}_summary.json", method, size, seed, train, test, state, log
+            out_dir / f"{name}_summary.json", method, seed, train, test, state, log
         )
         _write_weights_npz(out_dir / f"{name}_weights.npz", state, train.kind)
         note = f"[adareg] {name}: done in {wall_seconds:.1f}s (group of {len(methods)})"
@@ -467,7 +477,6 @@ def _write_json(path: Path, value: dict) -> None:
 def _write_summary_json(
     path: Path,
     method: str,
-    size: int | None,
     seed: int,
     train: Dataset,
     test: Dataset,
@@ -481,7 +490,7 @@ def _write_summary_json(
     summary = {
         "schema": SUMMARY_SCHEMA,
         "method": method,
-        "training_size": train.n if size is None else size,
+        "training_size": train.n,
         "seed": seed,
         "dataset_kind": train.kind,
         "metric_name": "accuracy" if is_classification else "explained_variance",
@@ -614,27 +623,20 @@ def summarize(run_directory) -> Path:
     if not paths:
         raise EmptyDirectory(f"no *_summary.json files under {run_dir}")
     summaries = [_read_summary(p) for p in paths]
-    metric_names = {s["metric_name"] for s in summaries}
-    kinds = {s["dataset_kind"] for s in summaries}
-    if len(metric_names) > 1 or len(kinds) > 1:
-        raise SchemaMismatch(
-            f"mixed logs: metric {sorted(metric_names)}, kinds {sorted(kinds)}"
-        )
-    num_tasks = 0
-    if kinds == {DatasetKind.REGRESSION}:
-        task_counts = {
-            len(s.get("per_task_explained_variance", [])) for s in summaries
-        }
-        if len(task_counts) > 1:
-            raise SchemaMismatch(f"mixed task counts {sorted(task_counts)}")
-        num_tasks = task_counts.pop()
+    metric_names = {s["metric_name"] for s in summaries}  # one per dataset kind
+    if len(metric_names) > 1:
+        raise SchemaMismatch(f"mixed logs: metric {sorted(metric_names)}")
+    # A classification summary lists no per-task explained variance: 0 tasks.
+    task_counts = {len(s.get("per_task_explained_variance", [])) for s in summaries}
+    if len(task_counts) > 1:
+        raise SchemaMismatch(f"mixed task counts {sorted(task_counts)}")
+    num_tasks = task_counts.pop()
 
     # Per (method, size), one row per seed: the test metric, then each task's EV.
     columns = ["test_metric"] + [f"ev_task{t}" for t in range(num_tasks)]
     groups: dict[tuple[str, int], list[list]] = {}
     for s in summaries:
-        per_task = s.get("per_task_explained_variance", [])[:num_tasks]
-        values = [s["final_test_metric"], *per_task]
+        values = [s["final_test_metric"], *s.get("per_task_explained_variance", [])]
         groups.setdefault((s["method"], s["training_size"]), []).append(values)
 
     out_path = run_dir / "summary.csv"
@@ -750,8 +752,8 @@ def main(argv=None) -> int:
             ExperimentConfig.from_file(args.config)
             print("config OK")
             return 0
-    except (AdaRegError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (AdaRegError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")
 

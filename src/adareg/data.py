@@ -46,6 +46,7 @@ __all__ = [
 
 IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
+MAX_FLOAT64S = np.iinfo(np.intp).max // 8  # the most float64s one array holds
 
 
 class DatasetKind:
@@ -144,6 +145,12 @@ class SyntheticMultitaskSpec:
     def __post_init__(self):
         if min(self.n_train, self.n_test, self.input_dim, self.num_tasks) < 1:
             raise ValueError("all sizes must be positive")
+        # The generator's largest arrays: (2d, d), (t, t) and (n, max(2d, t)).
+        d, t, n = self.input_dim, self.num_tasks, self.n_train + self.n_test
+        if max(2 * d * d, t * t, n * max(2 * d, t)) > MAX_FLOAT64S:
+            raise ValueError(
+                "n_train + n_test, input_dim and num_tasks exceed numpy's array size"
+            )
         if not 0.0 <= self.task_correlation < 1.0:
             raise ValueError("task_correlation must lie in [0, 1)")
         if self.noise_std <= 0.0:
@@ -317,7 +324,10 @@ def synth_multitask(spec: SyntheticMultitaskSpec) -> tuple[Dataset, Dataset]:
     n_total = spec.n_train + spec.n_test
     x = rng.normal(size=(n_total, d))
     clean = np.tanh(x @ a.T) @ b
-    y = clean + rng.normal(scale=spec.noise_std, size=clean.shape)
+    with np.errstate(over="ignore"):
+        y = clean + rng.normal(scale=spec.noise_std, size=clean.shape)
+    if not np.isfinite(y).all():
+        raise DataError(f"noise_std {spec.noise_std:g} overflows the synthetic targets")
 
     train = Dataset(x[: spec.n_train], y[: spec.n_train], DatasetKind.REGRESSION)
     test = Dataset(x[spec.n_train :], y[spec.n_train :], DatasetKind.REGRESSION)

@@ -167,8 +167,6 @@ class Network:
     ) -> "Network":
         """Seeded init: weights uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)],
         zero biases, ReLU everywhere except an identity output layer."""
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
         rng = np.random.default_rng(seed)
         layers = []
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
@@ -224,8 +222,6 @@ def apply_dropout(activations: np.ndarray, rate: float, rng) -> tuple[np.ndarray
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return activations, np.ones(activations.shape[-2:])
     keep = (rng.random(size=activations.shape[-2:]) >= rate).astype(float)
     scale = 1.0 / (1.0 - rate)
     return activations * keep * scale, keep

@@ -112,18 +112,11 @@ class MetricLog:
     records: list[EpochRecord] = field(default_factory=list)
 
 
-def _penalized(loss, net: Network, precisions: PrecisionPair, lam: float) -> float:
-    """``loss`` plus the prior penalty on the regularized weight (none at lam 0)."""
-    if lam == 0.0:
-        return loss
-    return loss + regularizer_value(net.regularized_weight, precisions, lam)
-
-
 def full_objective(state: AdaRegState, dataset: Dataset) -> float:
     """Dataset loss plus the prior penalty on the regularized weight."""
     outputs = predict(state.net, dataset)
     loss = _chunked_mean(partial(loss_from_outputs, state.net), outputs, dataset)
-    return _penalized(loss, state.net, state.precisions, state.lam)
+    return loss + regularizer_value(state.net.regularized_weight, state.precisions, state.lam)
 
 
 def _chunked_mean(score, outputs: np.ndarray, dataset: Dataset) -> float:
@@ -219,11 +212,7 @@ def train_block(
     network = Network.stack([s.net for s in states])
     for epoch in range(schedule.epochs_per_block):
         shuffle_seed = _derived_seed(seed, outer_iter, epoch, 0)
-        dropout_rng = (
-            np.random.default_rng(_derived_seed(seed, outer_iter, epoch, 1))
-            if dropout_rate > 0.0
-            else None
-        )
+        dropout_rng = np.random.default_rng(_derived_seed(seed, outer_iter, epoch, 1))
         for batch in batches(dataset, schedule.batch_size, shuffle_seed):
             grads = net_mod.backward(network, batch, dropout_rate, dropout_rng)
             w = network.regularized_weight
@@ -277,12 +266,13 @@ def run_adareg(
     states = tuple(AdaRegState.initial(network, bounds, c_lam) for c_lam in lams)
     logs = tuple(MetricLog() for _ in lams)
 
-    def record(current, _epoch: int) -> None:
-        # Runs inside train_block, so ``states`` are still the pre-block states.
+    def record(states, current, _epoch: int) -> None:
         for c, (cell_net, state, log) in enumerate(zip(current, states, logs)):
             epoch = len(log.records)
             train_loss, train_metric = evaluate(cell_net, dataset)
-            objective = _penalized(train_loss, cell_net, state.precisions, state.lam)
+            objective = train_loss + regularizer_value(
+                cell_net.regularized_weight, state.precisions, state.lam
+            )
             if test_dataset is not None:
                 test_loss, test_metric = evaluate(cell_net, test_dataset)
             else:
@@ -312,7 +302,7 @@ def run_adareg(
             seed,
             weight_decay,
             dropout_rate,
-            epoch_callback=record,
+            epoch_callback=partial(record, states),
         )
         states = tuple(
             update_precisions(s)

@@ -175,12 +175,14 @@ def sample(prior: MatrixNormalPrior, seed, size: int | None = None) -> np.ndarra
 def regularizer_value(w, precisions: PrecisionPair, lam: float) -> float:
     """Penalty lam * tr(O_r W O_c W.T) - lam * (d*logdet O_r + p*logdet O_c).
 
-    The trace term equals the squared Frobenius norm of
-    O_r^{1/2} W O_c^{1/2}, i.e. a Tikhonov penalty with structure matrix
-    O_c^{1/2} kron O_r^{1/2}; it is evaluated without square roots.
+    The trace term equals the squared Frobenius norm of O_r^{1/2} W O_c^{1/2},
+    i.e. a Tikhonov penalty with structure matrix O_c^{1/2} kron O_r^{1/2}; it
+    is evaluated without square roots, and not at all at lam 0 (penalty 0.0).
     """
     p, d = precisions.p, precisions.d
     w = _checked_weight(w, p, d, "precisions expect")
+    if lam == 0.0:
+        return 0.0
     trace_term = float(
         np.sum((precisions.omega_r.entries @ w @ precisions.omega_c.entries) * w)
     )

@@ -208,6 +208,18 @@ class TestConfigValidation:
         (("dataset", "kind"), "parquet"),
         (("dataset", "num_targets"), 0),
         (("methods",), []),
+        # sizes numpy cannot index: the generator's (n, 2 * input_dim) and
+        # (num_tasks, num_tasks) arrays, and a layer's weight
+        (("dataset", "n_test"), 10**30),
+        (("dataset", "input_dim"), 10**12),
+        (("dataset", "num_tasks"), 10**10),
+        (("architecture", "layer_sizes"), [4, 10**18, 2]),
+        # misspelled keys, which would otherwise leave the default in force
+        (("dataset", "task_corelation"), 0.5),
+        (("bounds_V",), 5.0),
+        (("schedule", "learning_rte"), 0.1),
+        (("architecture", "activation"), "tanh"),
+        (("regularised_layer_index",), 0),
     ]
     # A dataset block for the keys only the CSV kind reads.
     CSV_DATASET = {
@@ -691,6 +703,35 @@ class TestConfigRejections:
         p.write_text(json.dumps(cfg))
         assert main(["validate", str(p)]) == 1
         assert "standardize" in capsys.readouterr().err
+
+    def test_overflowing_noise_fails_before_any_file_is_written(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        cfg = _synth_config(out)
+        cfg["dataset"]["noise_std"] = 1e308
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 0  # whether it overflows, the draws decide
+        assert main(["run", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: noise_std 1e+308 overflows the synthetic targets\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [("Unable to allocate 153. TiB", "Unable to allocate 153. TiB"), ("", "MemoryError")],
+        ids=["numpy", "bare"],
+    )
+    def test_allocation_failure_is_an_error_line(
+        self, tmp_path, capsys, monkeypatch, message, line
+    ):
+        def unservable(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "synth_multitask", unservable)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_synth_config(tmp_path / "runs")))
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_size_above_synthetic_n_train_rejected(self, tmp_path, capsys):
         cfg = _synth_config(tmp_path / "runs", training_sizes=[32, 49])

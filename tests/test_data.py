@@ -154,6 +154,12 @@ class TestLoadIdx:
         assert str(other) not in str(info.value)
 
 
+class TestDataset:
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="inputs contain non-finite values"):
+            Dataset(np.array([[1.0, np.inf]]), np.array([[0.0]]), DatasetKind.REGRESSION)
+
+
 class TestLoadCsvRegression:
     def test_small_fixture(self, tmp_path):
         p = tmp_path / "data.csv"
@@ -182,6 +188,17 @@ class TestLoadCsvRegression:
         p = tmp_path / "data.csv"
         p.write_text(f"a,b,y\n1,2,3\n4,{cell},6\n")
         with pytest.raises(ParseError, match=f"data.csv: row 2, column 1: '{cell}'"):
+            load_csv_regression(p, num_targets=1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "file holds no data rows"), ("a,b,y\n", "only a header row present")],
+        ids=["empty", "header_only"],
+    )
+    def test_file_without_data_rows(self, tmp_path, text, message):
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"data.csv: {message}"):
             load_csv_regression(p, num_targets=1)
 
     def test_ragged_rows(self, tmp_path):

@@ -494,6 +494,12 @@ class TestStackedCells:
                 assert got_l.weight[c].tobytes() == want_l.weight.tobytes()
                 assert got_l.bias[c].tobytes() == want_l.bias.tobytes()
 
+    def test_sgd_step_wants_one_decay_per_cell(self):
+        stack = Network.stack(_cells(LossKind.SQUARED_ERROR, Activation.IDENTITY))
+        grads = backward(stack, Batch(np.ones((4, 5)), np.ones((4, 3))))
+        with pytest.raises(DimensionMismatch, match="2 weight_decay entries for 3 cells"):
+            sgd_step(stack, grads, 0.1, [0.0, 1e-3])
+
     def test_sgd_step_names_the_diverged_cell(self):
         stack = Network.stack(_cells(LossKind.SQUARED_ERROR, Activation.IDENTITY))
         grads = Gradients(

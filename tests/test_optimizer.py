@@ -522,3 +522,31 @@ class TestGroupTraining:
                        weight_decay=[0.0, 1e100, 0.0])
         assert caught.value.cell == 1
         assert str(caught.value).startswith("cell 1: ")
+
+
+def _net342(seed=50):
+    return Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=seed)
+
+
+class TestInputGuards:
+    """Each guard raises on the one bad input it exists for."""
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            # the regularized weight is (2, 4), the precisions (4, 2)
+            (lambda: AdaRegState(_net342(), PrecisionPair.identity(4, 2, B10), 0.1),
+             "precision dims"),
+            (lambda: BcdSchedule(1, -1, 8, 0.1), "epochs_per_block"),
+            (lambda: BcdSchedule(1, 1, 8, -0.1), "learning_rate"),
+            (lambda: train_block(
+                (AdaRegState.initial(_net342(), B10, 0.1),
+                 AdaRegState(_net342(), PrecisionPair.identity(2, 4, B10), 0.1, 1)),
+                BcdSchedule(1, 1, 8, 0.1), _toy_regression(), 51),
+             "share the outer iteration"),
+        ],
+        ids=["precision_shape", "negative_epochs", "negative_rate", "mixed_outer_iter"],
+    )
+    def test_bad_input_raises(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()

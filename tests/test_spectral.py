@@ -268,6 +268,10 @@ class TestInvThreshold:
         np.testing.assert_allclose(vals[-1], 2.0, atol=1e-12)
         np.testing.assert_allclose(vals[0], max(0.5, min(2.0, 3.0 / 5.0)), atol=1e-12)
 
+    def test_rejects_zero_m(self):
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            inv_threshold(np.eye(2), 0, B_HALF_TWO)
+
     def test_rejects_clearly_indefinite(self):
         with pytest.raises(NotPSD):
             inv_threshold(np.diag([1.0, -0.5]), 2, B_HALF_TWO)
