@@ -80,28 +80,24 @@ METHODS = (
 
 SUMMARY_SCHEMA = "adareg-run-v1"
 
-REQUIRED = object()  # the default of a key a config must give
 IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 def _keys_of(cls) -> dict:
-    """``{field: (type, default)}`` of a dataclass; a field without a default
-    is REQUIRED."""
+    """``{field: (type, default)}`` of a dataclass.  A field without a default
+    gets MISSING, which marks a key a config must give."""
     types = get_type_hints(cls)
-    return {
-        f.name: (types[f.name], REQUIRED if f.default is MISSING else f.default)
-        for f in fields(cls)
-    }
+    return {f.name: (types[f.name], f.default) for f in fields(cls)}
 
 
-# Per dataset kind: each key its loader reads, as (type, default).
+# Per dataset kind: each key its loader reads, as (type, default or MISSING).
 STANDARDIZE = {"standardize": (bool, True)}
 DATASET_KEYS = {
-    "mnist_idx": dict.fromkeys(IDX_KEYS, (str, REQUIRED)),
+    "mnist_idx": dict.fromkeys(IDX_KEYS, (str, MISSING)),
     "csv_regression": {
-        "train_path": (str, REQUIRED),
-        "test_path": (str, REQUIRED),
-        "num_targets": (int, REQUIRED),
+        "train_path": (str, MISSING),
+        "test_path": (str, MISSING),
+        "num_targets": (int, MISSING),
         **STANDARDIZE,
     },
     "synthetic_multitask": {**_keys_of(SyntheticMultitaskSpec), **STANDARDIZE},
@@ -142,9 +138,9 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
 
-        def need(key, kind, where=raw, ctx="config", default=REQUIRED):
+        def need(key, kind, where=raw, ctx="config", default=MISSING):
             if key not in where:
-                if default is not REQUIRED:
+                if default is not MISSING:
                     return default
                 raise ConfigError(f"{ctx} is missing required key {key!r}")
             val = where[key]
@@ -175,7 +171,7 @@ class ExperimentConfig:
         kind = need("kind", str, dataset, "dataset")
         if kind not in DATASET_KEYS:
             raise ConfigError(f"unknown dataset kind {kind!r}")
-        need_each({"kind": (str, REQUIRED), **DATASET_KEYS[kind]}, dataset, "dataset")
+        need_each({"kind": (str, MISSING), **DATASET_KEYS[kind]}, dataset, "dataset")
         if kind == "csv_regression" and dataset["num_targets"] < 1:
             raise ConfigError("dataset['num_targets'] must be >= 1")
         if kind == "synthetic_multitask":
@@ -545,10 +541,11 @@ def run_experiment(
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
     exits).  The data are loaded and checked against the architecture and
-    every training size before anything is written.
+    every training size, and one network is allocated (a MemoryError for
+    sizes the machine cannot hold), before anything is written.
     """
     train_full, _ = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
-    _loss_kind(config, train_full)
+    Network.init(list(config.layer_sizes), _loss_kind(config, train_full), 0)
     for size in config.training_sizes:
         rows, stratified = _cell_rows(train_full, size)
         pick_rows(train_full, rows, 0, stratified)  # raises SizeTooLarge

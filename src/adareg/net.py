@@ -103,10 +103,6 @@ class Network:
         object.__setattr__(self, "regularized_layer_index", idx % len(layers))
 
     @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
     def regularized_weight(self) -> np.ndarray:
         return self.layers[self.regularized_layer_index].weight
 
@@ -238,16 +234,18 @@ def forward(
     Each layer allocates one array, the matmul's output, and adds the bias
     and applies ReLU to it in place; ``inputs`` is never written to.  A
     stacked network returns (cells, rows, out) outputs.
-    Dropout (training only) applies to hidden activations when
-    ``dropout_rate > 0`` and a generator is supplied, and only then is a
-    mask recorded; the final layer's outputs are never dropped.
+    Dropout (training only) applies to hidden activations whenever
+    ``dropout_rate`` is non-zero, drawing masks from ``dropout_rng``, which
+    must then be given; only then is a mask recorded.  The final layer's
+    outputs are never dropped.
     """
     x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
+    if x.ndim != 2 or x.shape[1] != net.layers[0].in_dim:
         raise DimensionMismatch(
-            f"inputs {x.shape} do not match network input dim {net.in_dim}"
+            f"inputs {x.shape} do not match network input dim {net.layers[0].in_dim}"
         )
-    use_dropout = dropout_rate > 0.0 and dropout_rng is not None
+    if dropout_rate != 0.0 and dropout_rng is None:
+        raise ValueError(f"dropout rate {dropout_rate} needs a dropout_rng")
     layer_inputs = []
     masks: list[np.ndarray | None] = []
     a = x
@@ -258,7 +256,7 @@ def forward(
         a += layer.bias[..., None, :]
         if layer.activation is Activation.RELU:
             np.maximum(a, 0.0, out=a)
-        if use_dropout and i < last:
+        if dropout_rate != 0.0 and i < last:
             a, mask = apply_dropout(a, dropout_rate, dropout_rng)
             masks.append(mask)
         else:
@@ -266,26 +264,36 @@ def forward(
     return a, ForwardCache(tuple(layer_inputs), tuple(masks))
 
 
-def loss_from_outputs(net: Network, outputs: np.ndarray, targets) -> float:
-    """Mean loss of already computed network outputs against their targets."""
-    n = outputs.shape[0]
+def _read_targets(net: Network, outputs: np.ndarray, targets) -> np.ndarray:
+    """``targets`` as the loss reads them against outputs whose last two axes
+    are (rows, out): labels in [0, out) as ints (rows,), or floats (rows, out)."""
+    rows, out = outputs.shape[-2:]
     if net.loss is LossKind.SOFTMAX_CROSS_ENTROPY:
         y = np.asarray(targets)
-        if y.shape != (n,):
-            raise DimensionMismatch(
-                f"class targets must be ({n},), got {y.shape}"
-            )
-        shifted = outputs - outputs.max(axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-        picked = shifted[np.arange(n), y.astype(int)]
-        return float(np.mean(log_norm - picked))
+        if y.shape != (rows,):
+            raise DimensionMismatch(f"class targets must be ({rows},), got {y.shape}")
+        if not ((0 <= y) & (y < out)).all():
+            raise DimensionMismatch(f"class targets must be labels in [0, {out})")
+        return y.astype(int)
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    if y.shape != outputs.shape:
+    if y.shape != (rows, out):
         raise DimensionMismatch(
             f"regression targets {y.shape} do not match outputs {outputs.shape}"
         )
+    return y
+
+
+def loss_from_outputs(net: Network, outputs: np.ndarray, targets) -> float:
+    """Mean loss of already computed network outputs against their targets."""
+    n = outputs.shape[0]
+    y = _read_targets(net, outputs, targets)
+    if net.loss is LossKind.SOFTMAX_CROSS_ENTROPY:
+        shifted = outputs - outputs.max(axis=1, keepdims=True)
+        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
+        picked = shifted[np.arange(n), y]
+        return float(np.mean(log_norm - picked))
     diff = outputs - y
     return float(np.sum(diff * diff) / (2.0 * n))
 
@@ -302,15 +310,14 @@ def _output_delta(net: Network, outputs: np.ndarray, targets) -> np.ndarray:
     Normalizes and scales in place an array it allocated; ``x /= r`` gives
     the bits of ``x / r``."""
     n = outputs.shape[-2]
+    y = _read_targets(net, outputs, targets)
     if net.loss is LossKind.SOFTMAX_CROSS_ENTROPY:
-        y = np.asarray(targets).astype(int)
         probs = outputs - outputs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
         probs[..., np.arange(n), y] -= 1.0
     else:
-        y = np.asarray(targets, dtype=float)
-        probs = outputs - (y[:, None] if y.ndim == 1 else y)
+        probs = outputs - y
     probs /= n
     return probs
 
@@ -375,19 +382,12 @@ def sgd_step(
     extras = _per_cell(extra_grad_for_regularized_layer, len(slices), "extra gradient")
     new_layers = []
     for i, layer in enumerate(net.layers):
-        gw = grads.weight[i]
+        gw = grads.weight[i].copy()
         regularized = i == net.regularized_layer_index
-        terms = [
-            (c, d, e if regularized else None)
-            for c, d, e in zip(slices, decays, extras)
-            if d != 0.0 or (regularized and e is not None)
-        ]
-        if terms:
-            gw = gw.copy()
-        for c, decay, extra in terms:
+        for c, decay, extra in zip(slices, decays, extras):
             if decay != 0.0:
                 gw[c] += decay * layer.weight[c]
-            if extra is not None:
+            if regularized and extra is not None:
                 gw[c] += extra
         w = layer.weight - learning_rate * gw
         b = layer.bias - learning_rate * grads.bias[i]

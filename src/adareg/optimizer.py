@@ -28,7 +28,7 @@ from . import net as net_mod
 from .data import Dataset, DatasetKind, batches
 from .diagnostics import explained_variance
 from .errors import Diverged
-from .net import Network, _per_cell, loss_from_outputs
+from .net import Network, loss_from_outputs
 from .prior import PrecisionPair, regularizer_grad, regularizer_value
 from .spectral import SpectralBounds, SymMatrix, inv_threshold
 
@@ -205,7 +205,6 @@ def train_block(
     """
     group = isinstance(state, tuple)
     states = state if group else (state,)
-    decays = _per_cell(weight_decay, len(states), "weight_decay")
     outer_iter = states[0].outer_iter
     if any(s.outer_iter != outer_iter for s in states):
         raise ValueError("a group's states must share the outer iteration")
@@ -221,7 +220,7 @@ def train_block(
                 for w_cell, s in zip((w,) if network.cells is None else w, states)
             ]
             network = net_mod.sgd_step(
-                network, grads, schedule.learning_rate, decays, extras
+                network, grads, schedule.learning_rate, weight_decay, extras
             )
         if epoch_callback is not None:
             cells = network.unstack()

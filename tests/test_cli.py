@@ -733,6 +733,20 @@ class TestConfigRejections:
         assert main(["run", str(p)]) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
 
+    def test_unallocatable_network_leaves_no_run_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unservable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 153. TiB")
+
+        monkeypatch.setattr(cli.Network, "init", unservable)
+        out = tmp_path / "runs"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_synth_config(out)))
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 153. TiB\n"
+        assert not out.exists()
+
     def test_size_above_synthetic_n_train_rejected(self, tmp_path, capsys):
         cfg = _synth_config(tmp_path / "runs", training_sizes=[32, 49])
         with pytest.raises(ConfigError, match="49"):

@@ -15,6 +15,7 @@ from adareg.data import (
     batches,
     load_csv_regression,
     load_idx,
+    pick_rows,
     standardize_inputs,
     subsample,
     synth_multitask,
@@ -158,6 +159,63 @@ class TestDataset:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError, match="inputs contain non-finite values"):
             Dataset(np.array([[1.0, np.inf]]), np.array([[0.0]]), DatasetKind.REGRESSION)
+
+
+def _regression(n=3):
+    x = np.arange(n, dtype=float)[:, None]
+    return Dataset(x, 2.0 * x, DatasetKind.REGRESSION)
+
+
+class TestInputGuards:
+    """Each guard raises on the one bad input it exists for."""
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: Dataset(np.ones(3), np.ones(3), DatasetKind.REGRESSION),
+             "inputs must be"),
+            (lambda: Dataset(np.ones((0, 2)), np.ones(0), DatasetKind.CLASSIFICATION),
+             "inputs must be"),
+            (lambda: Dataset(np.ones((3, 2)), np.zeros((3, 1)), DatasetKind.CLASSIFICATION),
+             "labels must be"),
+            (lambda: Dataset(np.ones((3, 2)), [0, -1, 1], DatasetKind.CLASSIFICATION),
+             "non-negative"),
+            (lambda: Dataset(np.ones((3, 2)), np.ones((2, 1)), DatasetKind.REGRESSION),
+             "disagree on n"),
+            (lambda: Dataset(np.ones((3, 2)), [0.0, np.nan, 1.0], DatasetKind.REGRESSION),
+             "targets contain non-finite"),
+            (lambda: Dataset(np.ones((3, 2)), np.ones(3), "ranking"), "unknown dataset kind"),
+            (lambda: _regression().num_classes, "only applies to classification"),
+            (lambda: SyntheticMultitaskSpec(n_train=0, n_test=5), "sizes must be positive"),
+            (lambda: write_idx(_regression(), "x", "y", 1, 1), "only classification"),
+            (lambda: write_idx(
+                Dataset(np.ones((3, 2)), [0, 1, 2], DatasetKind.CLASSIFICATION),
+                "x", "y", 2, 2),
+             "need 4"),
+            (lambda: load_csv_regression("unread.csv", 0), "num_targets must be"),
+            (lambda: pick_rows(_regression(), 0, 0), "size must be"),
+            (lambda: next(batches(_regression(), 0, seed=0)), "batch_size must be"),
+        ],
+        ids=[
+            "one_dim_inputs",
+            "empty_inputs",
+            "label_shape",
+            "negative_label",
+            "row_counts",
+            "non_finite_targets",
+            "unknown_kind",
+            "num_classes_of_regression",
+            "zero_spec_size",
+            "idx_of_regression",
+            "idx_feature_count",
+            "zero_num_targets",
+            "zero_pick_size",
+            "zero_batch_size",
+        ],
+    )
+    def test_bad_input_raises(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 class TestLoadCsvRegression:

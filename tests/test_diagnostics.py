@@ -247,3 +247,22 @@ class TestExplainedVariance:
     def test_constant_target_raises(self):
         with pytest.raises(ZeroVariance):
             explained_variance(np.zeros((4, 1)), np.ones((4, 1)))
+
+
+class TestInputGuards:
+    """Each guard raises on the one bad input it exists for."""
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: spectral_norm(np.ones(3)), "expected a matrix"),
+            (lambda: generalization_proxy(
+                Network.init([3, 2], LossKind.SQUARED_ERROR, seed=0), 0),
+             "n must be positive"),
+            (lambda: explained_variance(np.zeros((4, 2)), np.ones((4, 3))), "shape mismatch"),
+        ],
+        ids=["one_dim_matrix", "zero_n", "mismatched_shapes"],
+    )
+    def test_bad_input_raises(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()

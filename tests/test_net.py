@@ -100,6 +100,27 @@ class TestStructure:
             np.testing.assert_array_equal(la.weight, lb.weight)
 
 
+class TestInputGuards:
+    """Each guard raises on the one bad input it exists for."""
+
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            (lambda: Network((), LossKind.SQUARED_ERROR), ValueError, "at least one"),
+            (lambda: Network(
+                (DenseLayer(np.zeros((2, 3, 4)), np.zeros((2, 3)), Activation.RELU),
+                 DenseLayer(np.zeros((3, 1, 3)), np.zeros((3, 1)), Activation.IDENTITY)),
+                LossKind.SQUARED_ERROR),
+             DimensionMismatch, "different numbers of cells"),
+            (lambda: Batch(np.ones(3), np.ones(3)), DimensionMismatch, "inputs must be"),
+        ],
+        ids=["no_layers", "mixed_cell_counts", "one_dim_inputs"],
+    )
+    def test_bad_input_raises(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+
 class TestForward:
     def test_identity_layer_passthrough(self):
         net = Network(
@@ -201,6 +222,33 @@ class TestLossValue:
         net = Network((l1, l2), LossKind.SQUARED_ERROR)
         batch = Batch(np.array([[1.0, -2.0]]), np.array([[1.0]]))
         assert loss_value(net, batch) == pytest.approx(4.5)
+
+
+class TestTargets:
+    """``loss_value`` and ``backward`` read targets through one check; here a
+    4-row batch meets a 3-output network."""
+
+    @pytest.mark.parametrize("fn", [loss_value, backward])
+    @pytest.mark.parametrize(
+        "loss, targets, match",
+        [
+            (LossKind.SQUARED_ERROR, np.zeros((1, 3)), "regression targets"),
+            (LossKind.SQUARED_ERROR, np.zeros((4, 2)), "regression targets"),
+            (LossKind.SOFTMAX_CROSS_ENTROPY, [0, 1, 2, -1], "class targets"),
+            (LossKind.SOFTMAX_CROSS_ENTROPY, [0, 1, 2, 7], "class targets"),
+            (LossKind.SOFTMAX_CROSS_ENTROPY, [0, 1], "class targets"),
+        ],
+        ids=["one_row", "two_columns", "negative_label", "label_past_out", "two_labels"],
+    )
+    def test_targets_that_do_not_fit_are_rejected(self, fn, loss, targets, match):
+        net = Network.init([5, 4, 3], loss, seed=0)
+        with pytest.raises(DimensionMismatch, match=match):
+            fn(net, Batch(np.ones((4, 5)), targets))
+
+    def test_stacked_backward_rejects_one_row_of_targets(self):
+        stack = Network.stack(_cells(LossKind.SQUARED_ERROR, Activation.IDENTITY))
+        with pytest.raises(DimensionMismatch, match="regression targets"):
+            backward(stack, Batch(np.ones((4, 5)), np.zeros((1, 3))))
 
 
 class TestBackward:
@@ -390,6 +438,18 @@ class TestDropout:
     def test_rejects_rate_one(self):
         with pytest.raises(ValueError):
             apply_dropout(np.ones((1, 2)), 1.0, np.random.default_rng(0))
+
+    def test_rate_without_generator_rejected(self):
+        net = Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=0)
+        with pytest.raises(ValueError, match="needs a dropout_rng"):
+            forward(net, np.ones((2, 3)), dropout_rate=0.5)
+        with pytest.raises(ValueError, match="needs a dropout_rng"):
+            backward(net, Batch(np.ones((2, 3)), np.ones((2, 2))), 0.5)
+
+    def test_negative_rate_rejected(self):
+        net = Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=0)
+        with pytest.raises(ValueError, match="dropout rate must be in"):
+            forward(net, np.ones((2, 3)), -0.1, np.random.default_rng(0))
 
 
 class TestDeterminism:
