@@ -67,9 +67,12 @@ class Dataset:
         if not np.isfinite(x).all():
             raise ValueError("inputs contain non-finite values")
         if self.kind == DatasetKind.CLASSIFICATION:
-            y = np.asarray(self.targets, dtype=int)
+            y = np.asarray(self.targets)
             if y.shape != (x.shape[0],):
                 raise ValueError(f"labels must be ({x.shape[0]},), got {y.shape}")
+            if not (y.dtype.kind in "iu" or (np.floor(y) == y).all()):
+                raise ValueError("class labels must be whole numbers")
+            y = y.astype(int, copy=False)
             if y.min() < 0:
                 raise ValueError("class labels must be non-negative")
         elif self.kind == DatasetKind.REGRESSION:

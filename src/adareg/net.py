@@ -210,14 +210,18 @@ class Gradients:
     bias: tuple[np.ndarray, ...]
 
 
+def _check_dropout_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+
+
 def apply_dropout(activations: np.ndarray, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: zero each unit with probability ``rate`` and scale
     survivors by 1/(1-rate).  Returns (masked activations, mask); training
     only -- evaluation passes skip this entirely.  The mask is drawn for
     the last two axes, (rows, units), and applies to every stacked cell.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    _check_dropout_rate(rate)
     keep = (rng.random(size=activations.shape[-2:]) >= rate).astype(float)
     scale = 1.0 / (1.0 - rate)
     return activations * keep * scale, keep
@@ -244,6 +248,7 @@ def forward(
         raise DimensionMismatch(
             f"inputs {x.shape} do not match network input dim {net.layers[0].in_dim}"
         )
+    _check_dropout_rate(dropout_rate)
     if dropout_rate != 0.0 and dropout_rng is None:
         raise ValueError(f"dropout rate {dropout_rate} needs a dropout_rng")
     layer_inputs = []
@@ -266,14 +271,15 @@ def forward(
 
 def _read_targets(net: Network, outputs: np.ndarray, targets) -> np.ndarray:
     """``targets`` as the loss reads them against outputs whose last two axes
-    are (rows, out): labels in [0, out) as ints (rows,), or floats (rows, out)."""
+    are (rows, out): whole labels in [0, out) as ints (rows,), or floats (rows, out)."""
     rows, out = outputs.shape[-2:]
     if net.loss is LossKind.SOFTMAX_CROSS_ENTROPY:
         y = np.asarray(targets)
         if y.shape != (rows,):
             raise DimensionMismatch(f"class targets must be ({rows},), got {y.shape}")
-        if not ((0 <= y) & (y < out)).all():
-            raise DimensionMismatch(f"class targets must be labels in [0, {out})")
+        whole = y.dtype.kind in "iu" or (np.floor(y) == y).all()
+        if not (whole and ((0 <= y) & (y < out)).all()):
+            raise DimensionMismatch(f"class targets must be whole labels in [0, {out})")
         return y.astype(int)
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
@@ -286,16 +292,18 @@ def _read_targets(net: Network, outputs: np.ndarray, targets) -> np.ndarray:
 
 
 def loss_from_outputs(net: Network, outputs: np.ndarray, targets) -> float:
-    """Mean loss of already computed network outputs against their targets."""
+    """Mean loss of already computed network outputs against their targets;
+    its one (rows, out) temporary is reused in place."""
     n = outputs.shape[0]
     y = _read_targets(net, outputs, targets)
     if net.loss is LossKind.SOFTMAX_CROSS_ENTROPY:
         shifted = outputs - outputs.max(axis=1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
         picked = shifted[np.arange(n), y]
+        log_norm = np.log(np.sum(np.exp(shifted, out=shifted), axis=1))
         return float(np.mean(log_norm - picked))
     diff = outputs - y
-    return float(np.sum(diff * diff) / (2.0 * n))
+    diff *= diff
+    return float(np.sum(diff) / (2.0 * n))
 
 
 def loss_value(net: Network, batch: Batch) -> float:

@@ -14,7 +14,9 @@ precisions stay at the identity and the whole procedure degenerates to SGD
 with weight decay 2*lambda.
 
 Each evaluation runs the network once: ``evaluate`` and ``full_objective``
-derive the loss (and the metric) from the outputs of one ``predict``.
+take the outputs of one ``predict`` and score them with one mean over all
+rows.  EVAL_CHUNK bounds the memory of ``predict``'s forward passes only;
+no mean is taken per chunk.
 """
 
 from __future__ import annotations
@@ -114,24 +116,8 @@ class MetricLog:
 
 def full_objective(state: AdaRegState, dataset: Dataset) -> float:
     """Dataset loss plus the prior penalty on the regularized weight."""
-    outputs = predict(state.net, dataset)
-    loss = _chunked_mean(partial(loss_from_outputs, state.net), outputs, dataset)
+    loss = loss_from_outputs(state.net, predict(state.net, dataset), dataset.targets)
     return loss + regularizer_value(state.net.regularized_weight, state.precisions, state.lam)
-
-
-def _chunked_mean(score, outputs: np.ndarray, dataset: Dataset) -> float:
-    """Row-weighted mean of ``score(outputs, targets)`` over EVAL_CHUNK-row
-    slices: each slice's mean times its size, summed, divided by n.  That
-    order of summation is part of the byte-reproducible metrics."""
-    total = 0.0
-    for lo in range(0, dataset.n, EVAL_CHUNK):
-        out = outputs[lo : lo + EVAL_CHUNK]
-        total += score(out, dataset.targets[lo : lo + EVAL_CHUNK]) * out.shape[0]
-    return total / dataset.n
-
-
-def _accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(outputs.argmax(axis=1) == labels))
 
 
 def evaluate(network: Network, dataset: Dataset) -> tuple[float, float]:
@@ -139,17 +125,19 @@ def evaluate(network: Network, dataset: Dataset) -> tuple[float, float]:
     argmax accuracy for classification, mean explained variance across
     tasks for regression."""
     outputs = predict(network, dataset)
-    loss = _chunked_mean(partial(loss_from_outputs, network), outputs, dataset)
+    loss = loss_from_outputs(network, outputs, dataset.targets)
     if dataset.kind == DatasetKind.CLASSIFICATION:
-        return loss, _chunked_mean(_accuracy, outputs, dataset)
+        return loss, float(np.mean(outputs.argmax(axis=1) == dataset.targets))
     return loss, float(np.mean(explained_variance(outputs, dataset.targets)))
 
 
 def predict(network: Network, dataset: Dataset) -> np.ndarray:
     """Network outputs for every row, computed in EVAL_CHUNK-row chunks.
 
-    Each chunk's forward cache is dropped as soon as its outputs are taken;
-    a single chunk's outputs are returned as they are, without a copy.
+    The chunks bound the memory of the hidden activations only: each
+    chunk's forward cache is dropped as soon as its outputs are taken, and
+    callers reduce the whole output array at once.  A single chunk's
+    outputs are returned as they are, without a copy.
     """
     chunks = [
         net_mod.forward(network, dataset.inputs[lo : lo + EVAL_CHUNK])[0]

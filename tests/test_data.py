@@ -180,6 +180,10 @@ class TestInputGuards:
              "labels must be"),
             (lambda: Dataset(np.ones((3, 2)), [0, -1, 1], DatasetKind.CLASSIFICATION),
              "non-negative"),
+            (lambda: Dataset(np.ones((3, 2)), [0.5, 1.7, 2.9], DatasetKind.CLASSIFICATION),
+             "whole numbers"),
+            (lambda: Dataset(np.ones((3, 2)), [0.0, np.nan, 1.0], DatasetKind.CLASSIFICATION),
+             "whole numbers"),
             (lambda: Dataset(np.ones((3, 2)), np.ones((2, 1)), DatasetKind.REGRESSION),
              "disagree on n"),
             (lambda: Dataset(np.ones((3, 2)), [0.0, np.nan, 1.0], DatasetKind.REGRESSION),
@@ -201,6 +205,8 @@ class TestInputGuards:
             "empty_inputs",
             "label_shape",
             "negative_label",
+            "fractional_labels",
+            "nan_label",
             "row_counts",
             "non_finite_targets",
             "unknown_kind",

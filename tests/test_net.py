@@ -237,8 +237,18 @@ class TestTargets:
             (LossKind.SOFTMAX_CROSS_ENTROPY, [0, 1, 2, -1], "class targets"),
             (LossKind.SOFTMAX_CROSS_ENTROPY, [0, 1, 2, 7], "class targets"),
             (LossKind.SOFTMAX_CROSS_ENTROPY, [0, 1], "class targets"),
+            (LossKind.SOFTMAX_CROSS_ENTROPY, [0.5, 1.7, 2.9, 0.0], "class targets"),
+            (LossKind.SOFTMAX_CROSS_ENTROPY, [0.0, 1.0, np.nan, 2.0], "class targets"),
         ],
-        ids=["one_row", "two_columns", "negative_label", "label_past_out", "two_labels"],
+        ids=[
+            "one_row",
+            "two_columns",
+            "negative_label",
+            "label_past_out",
+            "two_labels",
+            "fractional_labels",
+            "nan_label",
+        ],
     )
     def test_targets_that_do_not_fit_are_rejected(self, fn, loss, targets, match):
         net = Network.init([5, 4, 3], loss, seed=0)
@@ -450,6 +460,12 @@ class TestDropout:
         net = Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=0)
         with pytest.raises(ValueError, match="dropout rate must be in"):
             forward(net, np.ones((2, 3)), -0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rate", [-0.5, 1.0])
+    def test_bad_rate_rejected_without_hidden_layer(self, rate):
+        net = Network.init([3, 2], LossKind.SQUARED_ERROR, seed=0)
+        with pytest.raises(ValueError, match="dropout rate must be in"):
+            forward(net, np.ones((2, 3)), rate, np.random.default_rng(0))
 
 
 class TestDeterminism:

@@ -16,12 +16,11 @@ from adareg.diagnostics import explained_variance
 from adareg.errors import Diverged
 from adareg.net import (
     Activation,
-    Batch,
     DenseLayer,
     LossKind,
     Network,
     backward,
-    loss_value,
+    loss_from_outputs,
 )
 from adareg.optimizer import (
     EVAL_CHUNK,
@@ -216,7 +215,7 @@ class TestOneDecompositionPerSolve:
 
 class TestOneForwardPassPerEvaluation:
     """evaluate and full_objective run the network once per EVAL_CHUNK rows
-    and match the former loss-pass-plus-metric-pass arithmetic bit for bit."""
+    and score the whole output array with one mean over all its rows."""
 
     N = 2 * EVAL_CHUNK + 5
 
@@ -241,32 +240,26 @@ class TestOneForwardPassPerEvaluation:
         return dataset, Network.init([6, 8, 4], LossKind.SOFTMAX_CROSS_ENTROPY, seed=7)
 
     @staticmethod
-    def _two_pass_oracle(network, dataset):
-        loss = hits = 0.0
-        chunks = []
-        for lo in range(0, dataset.n, EVAL_CHUNK):
-            batch = Batch(
-                dataset.inputs[lo : lo + EVAL_CHUNK],
-                dataset.targets[lo : lo + EVAL_CHUNK],
-            )
-            loss += loss_value(network, batch) * batch.size
-            out, _ = net_mod.forward(network, batch.inputs)
-            chunks.append(out)
-            if dataset.kind == DatasetKind.CLASSIFICATION:
-                hit = out.argmax(axis=1) == batch.targets
-                hits += float(np.mean(hit)) * batch.size
+    def _one_mean_oracle(network, dataset):
+        """(loss, metric) as one mean over all rows of the per-chunk
+        ``forward`` outputs, concatenated."""
+        outputs = np.concatenate(
+            [
+                net_mod.forward(network, dataset.inputs[lo : lo + EVAL_CHUNK])[0]
+                for lo in range(0, dataset.n, EVAL_CHUNK)
+            ]
+        )
+        loss = loss_from_outputs(network, outputs, dataset.targets)
         if dataset.kind == DatasetKind.CLASSIFICATION:
-            return loss / dataset.n, hits / dataset.n
-        outputs = np.concatenate(chunks)
-        ev = float(np.mean(explained_variance(outputs, dataset.targets)))
-        return loss / dataset.n, ev
+            return loss, float(np.mean(outputs.argmax(axis=1) == dataset.targets))
+        return loss, float(np.mean(explained_variance(outputs, dataset.targets)))
 
     @pytest.mark.parametrize("kind", [DatasetKind.CLASSIFICATION, DatasetKind.REGRESSION])
     def test_evaluate_makes_one_pass(self, forward_calls, kind):
         dataset, network = self._fixture(kind)
         got = evaluate(network, dataset)
         assert forward_calls == [EVAL_CHUNK, EVAL_CHUNK, 5]
-        assert got == self._two_pass_oracle(network, dataset)
+        assert got == self._one_mean_oracle(network, dataset)
 
     @pytest.mark.parametrize("kind", [DatasetKind.CLASSIFICATION, DatasetKind.REGRESSION])
     def test_full_objective_makes_one_pass(self, forward_calls, kind):
@@ -274,7 +267,7 @@ class TestOneForwardPassPerEvaluation:
         state = AdaRegState.initial(network, B10, 0.05)
         got = full_objective(state, dataset)
         assert forward_calls == [EVAL_CHUNK, EVAL_CHUNK, 5]
-        loss, _ = self._two_pass_oracle(network, dataset)
+        loss, _ = self._one_mean_oracle(network, dataset)
         penalty = regularizer_value(network.regularized_weight, state.precisions, 0.05)
         assert got == loss + penalty
 
