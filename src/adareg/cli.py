@@ -317,9 +317,9 @@ def _synthetic_spec(dataset: dict) -> SyntheticMultitaskSpec:
     return SyntheticMultitaskSpec(**{k: v for k, v in dataset.items() if k in names})
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _load_base_cached(dataset_json: str) -> tuple[Dataset | IdxSplit, Dataset]:
-    """Training and test splits; an IDX training split stays as pixel bytes."""
+    """One run's training and test splits; an IDX training split stays as bytes."""
     spec = json.loads(dataset_json)
     kind = spec["kind"]
     if kind == "mnist_idx":
@@ -336,9 +336,9 @@ def _load_base_cached(dataset_json: str) -> tuple[Dataset | IdxSplit, Dataset]:
     return train, test
 
 
-def _check_dims(layer_sizes, input_dim: int | None, target_columns: int | None) -> None:
-    """Raise ConfigError when the input dim or the regression target column
-    count, where known, does not match the architecture's ends."""
+def _check_dims(layer_sizes, input_dim, target_columns, num_classes=None) -> None:
+    """Raise ConfigError when the input dim, the regression target column
+    count or the class count, where known, does not fit the architecture's ends."""
     if input_dim is not None and input_dim != layer_sizes[0]:
         raise ConfigError(
             f"architecture expects input dim {layer_sizes[0]}, dataset has {input_dim}"
@@ -347,19 +347,17 @@ def _check_dims(layer_sizes, input_dim: int | None, target_columns: int | None) 
         raise ConfigError(
             f"{target_columns} target columns but output dim {layer_sizes[-1]}"
         )
+    if num_classes is not None and num_classes > layer_sizes[-1]:
+        raise ConfigError(f"{num_classes} classes exceed output dim {layer_sizes[-1]}")
 
 
-def _loss_kind(config: ExperimentConfig, train: Dataset | IdxSplit) -> LossKind:
-    """The loss for ``train``'s kind; raises ConfigError when the
-    architecture does not fit the data."""
-    sizes = config.layer_sizes
-    if train.kind != DatasetKind.CLASSIFICATION:
-        _check_dims(sizes, train.input_dim, train.targets.shape[1])
-        return LossKind.SQUARED_ERROR
-    _check_dims(sizes, train.input_dim, None)
-    if train.num_classes > sizes[-1]:
-        raise ConfigError(f"{train.num_classes} classes exceed output dim {sizes[-1]}")
-    return LossKind.SOFTMAX_CROSS_ENTROPY
+def _loss_kind(config: ExperimentConfig, *splits: Dataset | IdxSplit) -> LossKind:
+    """The splits' loss; ConfigError if any split does not fit the architecture."""
+    classes = splits[0].kind == DatasetKind.CLASSIFICATION
+    for split in splits:
+        ends = (None, split.num_classes) if classes else (split.targets.shape[1], None)
+        _check_dims(config.layer_sizes, split.input_dim, *ends)
+    return LossKind.SOFTMAX_CROSS_ENTROPY if classes else LossKind.SQUARED_ERROR
 
 
 def _method_knobs(config: ExperimentConfig, method: str, p: int, d: int):
@@ -387,6 +385,7 @@ def _cell_name(method: str, size: int | None, seed: int) -> str:
 
 def _run_group(
     config: ExperimentConfig,
+    loss: LossKind,
     methods: tuple[str, ...],
     size: int | None,
     seed: int,
@@ -395,7 +394,6 @@ def _run_group(
     """Train the cells of ``methods`` at one (size, seed) as one group, which
     needs one dropout rate for them all, and write each cell's artifacts."""
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
-    loss = _loss_kind(config, train_full)
     rows, stratified = _cell_rows(train_full, size)
     train = subsample(train_full, rows, [seed, 101], stratified)
 
@@ -540,12 +538,14 @@ def run_experiment(
 
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
-    exits).  The data are loaded and checked against the architecture and
+    exits).  Both splits are loaded and checked against the architecture and
     every training size, and one network is allocated (a MemoryError for
     sizes the machine cannot hold), before anything is written.
     """
-    train_full, _ = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
-    Network.init(list(config.layer_sizes), _loss_kind(config, train_full), 0)
+    _load_base_cached.cache_clear()  # ADAREG_DATA_DIR or the files may have changed
+    train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
+    loss = _loss_kind(config, train_full, test)
+    Network.init(list(config.layer_sizes), loss, 0)
     for size in config.training_sizes:
         rows, stratified = _cell_rows(train_full, size)
         pick_rows(train_full, rows, 0, stratified)  # raises SizeTooLarge
@@ -570,11 +570,11 @@ def run_experiment(
     ]
     if jobs <= 1:
         for methods, size, seed in groups:
-            _run_group(config, methods, size, seed, out_dir)
+            _run_group(config, loss, methods, size, seed, out_dir)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_group, config, methods, size, seed, out_dir)
+                pool.submit(_run_group, config, loss, methods, size, seed, out_dir)
                 for methods, size, seed in groups
             ]
             for fut in futures:

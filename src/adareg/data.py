@@ -21,6 +21,7 @@ from .errors import (
     BadMagic,
     CountMismatch,
     DataError,
+    DimensionMismatch,
     ParseError,
     RaggedRows,
     SizeTooLarge,
@@ -221,8 +222,8 @@ def load_idx(images_path, labels_path) -> Dataset:
 def write_idx(ds: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
     """Write a classification dataset as an IDX image/label pair.
 
-    Inputs must be [0, 1] scaled with rows*cols features; values are
-    quantized back to bytes, so only byte-grid data round-trips exactly.
+    Inputs must be [0, 1] scaled with rows*cols features, labels 0-255; values
+    are quantized back to bytes, so only byte-grid data round-trips exactly.
     """
     if ds.kind != DatasetKind.CLASSIFICATION:
         raise ValueError("only classification datasets can be written as IDX")
@@ -230,14 +231,15 @@ def write_idx(ds: Dataset, images_path, labels_path, rows: int, cols: int) -> No
         raise ValueError(
             f"inputs have {ds.inputs.shape[1]} features, need {rows * cols}"
         )
+    if ds.targets.max() > 255:
+        raise ValueError(f"label {ds.targets.max()} does not fit in one byte")
     pixels = np.clip(np.rint(ds.inputs * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGES_MAGIC, ds.n, rows, cols))
         f.write(pixels.tobytes())
-    labels = ds.targets.astype(np.uint8)
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", LABELS_MAGIC, ds.n))
-        f.write(labels.tobytes())
+        f.write(ds.targets.astype(np.uint8).tobytes())
 
 
 def _parse_cell(cell: str, row: int, col: int, path) -> float:
@@ -270,27 +272,20 @@ def load_csv_regression(path, num_targets: int) -> Dataset:
         ]
     if not rows:
         raise ParseError(f"{path}: file holds no data rows")
-
-    def _numeric_row(cells):
-        try:
-            [float(c) for c in cells]
-            return True
-        except ValueError:
-            return False
-
-    start = 0
-    if not _numeric_row(rows[0][1]):
-        start = 1
-        if len(rows) == 1:
-            raise ParseError(f"{path}: only a header row present")
-    width = len(rows[start][1])
+    try:
+        [float(cell) for cell in rows[0][1]]
+    except ValueError:  # a header row
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: only a header row present") from None
+    width = len(rows[0][1])
     if width < num_targets + 1:
         raise ParseError(
             f"{path}: {width} columns cannot hold {num_targets} targets "
             "plus at least one input"
         )
-    data = np.empty((len(rows) - start, width))
-    for out_row, (line, cells) in enumerate(rows[start:]):
+    data = np.empty((len(rows), width))
+    for out_row, (line, cells) in enumerate(rows):
         if len(cells) != width:
             raise RaggedRows(
                 f"{path}: row {line} has {len(cells)} cells, expected {width}"
@@ -392,8 +387,12 @@ def standardize_inputs(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]
     """Per-feature standardization fit on train, applied to both splits.
 
     Constant features are left unscaled (divisor 1) rather than divided by
-    zero.
+    zero.  DimensionMismatch if the splits have different input widths.
     """
+    if train.input_dim != test.input_dim:
+        raise DimensionMismatch(
+            f"train has {train.input_dim} input columns, test {test.input_dim}"
+        )
     mean = train.inputs.mean(axis=0)
     std = train.inputs.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)

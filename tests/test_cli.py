@@ -378,6 +378,32 @@ class TestRunExperiment:
         assert message in capsys.readouterr().err
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("second_dir", ["b", "a"], ids=["other_data_dir", "rewritten"])
+    def test_each_run_reads_the_files_it_starts_with(
+        self, tmp_path, monkeypatch, second_dir
+    ):
+        """The splits are cached for one run only: a second run in the same
+        process reads its own ADAREG_DATA_DIR, and files rewritten since."""
+        (tmp_path / "a").mkdir()
+        cfg = _idx_config(tmp_path / "a", tmp_path / "runs", methods=["none"])
+        cfg["dataset"] = {k: Path(v).name for k, v in cfg["dataset"].items()}
+        config = ExperimentConfig.from_dict(cfg)
+
+        def final_summary(data_dir, out):
+            monkeypatch.setenv("ADAREG_DATA_DIR", str(data_dir))
+            run_experiment(config, output_override=str(tmp_path / out))
+            return (tmp_path / out / "none_n50_s0_summary.json").read_bytes()
+
+        first = final_summary(tmp_path / "a", "first")
+        data_dir = tmp_path / second_dir
+        data_dir.mkdir(exist_ok=True)
+        for name, n in (("tr", 120), ("te", 40)):
+            ds = make_dataset(n, seed=n)
+            write_idx(ds, data_dir / f"{name}-img", data_dir / f"{name}-lab", 28, 28)
+        second = final_summary(data_dir, "second")
+        _load_base_cached.cache_clear()
+        assert second == final_summary(data_dir, "fresh") != first
+
     def test_architecture_dataset_mismatch(self, tmp_path):
         out = tmp_path / "runs"
         raw = _synth_config(out)
@@ -611,6 +637,29 @@ class TestCsvRegression:
         assert "test.csv: row 2, column 1: 'nan' is not a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "standardize, message",
+        [
+            (True, "train has 3 input columns, test 4"),
+            (False, "architecture expects input dim 3, dataset has 4"),
+        ],
+        ids=["standardized", "raw"],
+    )
+    def test_test_split_of_another_width_fails_before_any_file_is_written(
+        self, tmp_path, capsys, standardize, message
+    ):
+        out = tmp_path / "runs"
+        rng = np.random.default_rng(2)
+        wide = ["x0,x1,x2,x3,y0,y1"]
+        wide += [",".join(map(repr, rng.normal(size=6).tolist())) for _ in range(10)]
+        p = self._config(tmp_path, out, wide)
+        cfg = json.loads(p.read_text())
+        cfg["dataset"]["standardize"] = standardize
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestSingleInputLayer:
     def test_export_of_a_one_input_layer_is_an_error(self, tmp_path, capsys):
@@ -763,6 +812,32 @@ class TestConfigRejections:
         p.write_text(json.dumps(cfg))
         assert main(["run", str(p)]) == 1
         assert "requested 121 of 120 examples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "test_side, test_classes, message",
+        [
+            (3, 3, "architecture expects input dim 16, dataset has 9"),
+            (4, 5, "5 classes exceed output dim 3"),
+        ],
+        ids=["test_images", "test_labels"],
+    )
+    def test_test_split_that_does_not_fit_fails_before_any_file_is_written(
+        self, tmp_path, capsys, test_side, test_classes, message
+    ):
+        out = tmp_path / "runs"
+        cfg = _idx_config(tmp_path, out, methods=["none"], training_sizes=[12])
+        cfg["architecture"]["layer_sizes"] = [16, 4, 3]
+        rng = np.random.default_rng(4)
+        for name, side, classes in (("tr", 4, 3), ("te", test_side, test_classes)):
+            pixels = rng.integers(0, 256, size=(30, side * side)) / 255.0
+            ds = Dataset(pixels, np.arange(30) % classes, DatasetKind.CLASSIFICATION)
+            write_idx(ds, tmp_path / f"{name}-img", tmp_path / f"{name}-lab", side, side)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 0  # IDX shapes are known only on load
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_class_too_small_fails_before_any_file_is_written(self, tmp_path):

@@ -24,6 +24,7 @@ from adareg.data import (
 from adareg.errors import (
     BadMagic,
     CountMismatch,
+    DimensionMismatch,
     ParseError,
     RaggedRows,
     SizeTooLarge,
@@ -196,6 +197,10 @@ class TestInputGuards:
                 Dataset(np.ones((3, 2)), [0, 1, 2], DatasetKind.CLASSIFICATION),
                 "x", "y", 2, 2),
              "need 4"),
+            (lambda: write_idx(
+                Dataset(np.ones((3, 4)), [0, 1, 300], DatasetKind.CLASSIFICATION),
+                "x", "y", 2, 2),
+             "label 300 does not fit in one byte"),
             (lambda: load_csv_regression("unread.csv", 0), "num_targets must be"),
             (lambda: pick_rows(_regression(), 0, 0), "size must be"),
             (lambda: next(batches(_regression(), 0, seed=0)), "batch_size must be"),
@@ -214,6 +219,7 @@ class TestInputGuards:
             "zero_spec_size",
             "idx_of_regression",
             "idx_feature_count",
+            "idx_label_range",
             "zero_num_targets",
             "zero_pick_size",
             "zero_batch_size",
@@ -430,3 +436,9 @@ class TestStandardize:
         )
         strain, _ = standardize_inputs(train, train)
         assert np.isfinite(strain.inputs).all()
+
+    def test_splits_of_different_widths_rejected(self):
+        train = Dataset(np.ones((10, 3)), np.ones((10, 2)), DatasetKind.REGRESSION)
+        test = Dataset(np.ones((10, 4)), np.ones((10, 2)), DatasetKind.REGRESSION)
+        with pytest.raises(DimensionMismatch, match="train has 3 input columns, test 4"):
+            standardize_inputs(train, test)

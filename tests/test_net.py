@@ -255,6 +255,16 @@ class TestTargets:
         with pytest.raises(DimensionMismatch, match=match):
             fn(net, Batch(np.ones((4, 5)), targets))
 
+    def test_one_dim_regression_target_is_one_column(self):
+        net = Network.init([5, 4, 1], LossKind.SQUARED_ERROR, seed=0)
+        x = np.random.default_rng(1).normal(size=(4, 5))
+        y = np.array([0.5, -1.0, 2.0, 0.25])
+        flat, column = Batch(x, y), Batch(x, y[:, None])
+        assert loss_value(net, flat) == loss_value(net, column)
+        got, want = backward(net, flat), backward(net, column)
+        for a, b in zip(got.weight + got.bias, want.weight + want.bias):
+            np.testing.assert_array_equal(a, b)
+
     def test_stacked_backward_rejects_one_row_of_targets(self):
         stack = Network.stack(_cells(LossKind.SQUARED_ERROR, Activation.IDENTITY))
         with pytest.raises(DimensionMismatch, match="regression targets"):
