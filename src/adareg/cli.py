@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from functools import lru_cache
@@ -371,30 +370,37 @@ def _method_knobs(config: ExperimentConfig, method: str, p: int, d: int):
     )
 
 
-def _cell_rows(train: Dataset | IdxSplit, size: int | None) -> tuple[int, bool]:
-    """``subsample``'s size and stratified flag for a cell of ``size`` rows
-    (None for the whole split)."""
-    if size is None or size == train.n:
-        return train.n, False
-    return size, train.kind == DatasetKind.CLASSIFICATION
-
-
-def _cell_name(method: str, size: int | None, seed: int) -> str:
-    return f"{method}_n{'full' if size is None else size}_s{seed}"
+def _plan(
+    config: ExperimentConfig, train: Dataset | IdxSplit, seeds: tuple[int, ...]
+) -> list[tuple]:
+    """The sweep's groups in run order, each ``(methods, cell names, seed,
+    rows, stratified)``; a group is the cells of one (training size, seed)
+    that share a dropout rate, and ``rows`` and ``stratified`` are what
+    ``subsample`` takes.  SizeTooLarge if a training size does not fit."""
+    by_rate: dict[bool, list[str]] = {}
+    for method in config.methods:
+        by_rate.setdefault("dropout" in method, []).append(method)
+    plan = []
+    for size in config.training_sizes:
+        if size is None or size == train.n:
+            rows, stratified = train.n, False
+        else:
+            rows, stratified = size, train.kind == DatasetKind.CLASSIFICATION
+        pick_rows(train, rows, 0, stratified)  # raises SizeTooLarge
+        tag = "full" if size is None else size
+        for seed in seeds:
+            for methods in by_rate.values():
+                names = tuple(f"{m}_n{tag}_s{seed}" for m in methods)
+                plan.append((tuple(methods), names, seed, rows, stratified))
+    return plan
 
 
 def _run_group(
-    config: ExperimentConfig,
-    loss: LossKind,
-    methods: tuple[str, ...],
-    size: int | None,
-    seed: int,
-    out_dir: Path,
-) -> list[str]:
-    """Train the cells of ``methods`` at one (size, seed) as one group, which
-    needs one dropout rate for them all, and write each cell's artifacts."""
+    config: ExperimentConfig, loss: LossKind, group: tuple, out_dir: Path
+) -> None:
+    """Train one ``_plan`` group and write each of its cells' artifacts."""
+    methods, names, seed, rows, stratified = group
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
-    rows, stratified = _cell_rows(train_full, size)
     train = subsample(train_full, rows, [seed, 101], stratified)
 
     network = Network.init(
@@ -406,7 +412,6 @@ def _run_group(
     p, d = network.regularized_weight.shape
     lams, decays, rates = zip(*(_method_knobs(config, m, p, d) for m in methods))
     bounds = SpectralBounds.from_v(config.bounds_v)
-    names = [_cell_name(method, size, seed) for method in methods]
 
     started = time.perf_counter()
     try:
@@ -436,7 +441,6 @@ def _run_group(
         if log.records:
             note += f" (final test metric {log.records[-1].test_metric:.4f})"
         print(note, file=sys.stderr)
-    return names
 
 
 @contextmanager
@@ -532,24 +536,25 @@ def run_experiment(
 ) -> int:
     """Run every (method, training size, seed) cell of the sweep.
 
-    The cells of one (training size, seed) whose methods share a dropout
-    rate train as one group (see ``optimizer.train_block``); a Diverged
-    stops the group and names the failing cell.
+    The cells train in the groups of ``_plan``; a Diverged stops the group
+    and names the failing cell.  ``jobs`` worker processes, at most one per
+    group, run the groups; with one, they run in this process.
 
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
     exits).  Both splits are loaded and checked against the architecture and
-    every training size, and one network is allocated (a MemoryError for
-    sizes the machine cannot hold), before anything is written.
+    every training size, one network is allocated (a MemoryError for sizes
+    the machine cannot hold), and the plan is fixed, before anything is
+    written.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     _load_base_cached.cache_clear()  # ADAREG_DATA_DIR or the files may have changed
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
     loss = _loss_kind(config, train_full, test)
     Network.init(list(config.layer_sizes), loss, 0)
-    for size in config.training_sizes:
-        rows, stratified = _cell_rows(train_full, size)
-        pick_rows(train_full, rows, 0, stratified)  # raises SizeTooLarge
     seeds = seed_override if seed_override else config.seeds
+    plan = _plan(config, train_full, seeds)
     out_dir = Path(output_override or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = config.to_dict()
@@ -558,28 +563,18 @@ def run_experiment(
         resolved["output_dir"] = str(out_dir)
     _write_json(out_dir / "resolved_config.json", resolved)
 
-    # Cells that share (size, seed, dropout rate) train as one group.
-    by_rate: dict[bool, list[str]] = {}
-    for method in config.methods:
-        by_rate.setdefault("dropout" in method, []).append(method)
-    groups = [
-        (tuple(methods), size, seed)
-        for size in config.training_sizes
-        for seed in seeds
-        for methods in by_rate.values()
-    ]
-    if jobs <= 1:
-        for methods, size, seed in groups:
-            _run_group(config, loss, methods, size, seed, out_dir)
+    workers = min(jobs, len(plan))
+    if workers == 1:
+        for group in plan:
+            _run_group(config, loss, group, out_dir)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_group, config, loss, methods, size, seed, out_dir)
-                for methods, size, seed in groups
-            ]
-            for fut in futures:
+        # Imported here: multiprocessing loads only for runs that need a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for fut in [pool.submit(_run_group, config, loss, g, out_dir) for g in plan]:
                 fut.result()
-    cells = len(config.methods) * len(config.training_sizes) * len(seeds)
+    cells = sum(len(names) for _, names, *_ in plan)
     print(f"[adareg] wrote {cells} cells to {out_dir}", file=sys.stderr)
     return 0
 

@@ -242,12 +242,17 @@ def write_idx(ds: Dataset, images_path, labels_path, rows: int, cols: int) -> No
         f.write(ds.targets.astype(np.uint8).tobytes())
 
 
-def _parse_cell(cell: str, row: int, col: int, path) -> float:
+def _float(cell: str) -> float | None:
+    """``cell`` as a float, or None if ``float`` cannot read it."""
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
-        value = np.nan
-    if not np.isfinite(value):  # also "nan" and "inf", which float() reads
+        return None
+
+
+def _parse_cell(cell: str, row: int, col: int, path) -> float:
+    value = _float(cell)
+    if value is None or not np.isfinite(value):  # also "nan" and "inf"
         raise ParseError(
             f"{path}: row {row}, column {col}: {cell!r} is not a finite number"
         )
@@ -257,9 +262,9 @@ def _parse_cell(cell: str, row: int, col: int, path) -> float:
 def load_csv_regression(path, num_targets: int) -> Dataset:
     """Load a numeric CSV where the last ``num_targets`` columns are targets.
 
-    A single header row is auto-detected (first row with any non-numeric
-    cell) and skipped.  Rows of unequal width raise RaggedRows; bad cells
-    raise ParseError with their location.
+    A single header row is auto-detected (a first row in which no cell reads
+    as a number, ``nan`` and ``inf`` included) and skipped.  Rows of unequal
+    width raise RaggedRows; bad cells raise ParseError with their location.
     """
     path = Path(path)
     if num_targets < 1:
@@ -272,12 +277,10 @@ def load_csv_regression(path, num_targets: int) -> Dataset:
         ]
     if not rows:
         raise ParseError(f"{path}: file holds no data rows")
-    try:
-        [float(cell) for cell in rows[0][1]]
-    except ValueError:  # a header row
+    if all(_float(cell) is None for cell in rows[0][1]):  # a header row
         rows = rows[1:]
         if not rows:
-            raise ParseError(f"{path}: only a header row present") from None
+            raise ParseError(f"{path}: only a header row present")
     width = len(rows[0][1])
     if width < num_targets + 1:
         raise ParseError(

@@ -324,6 +324,50 @@ class TestRunExperiment:
                 continue
             assert a[name] == b[name], f"{name} differs"
 
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every process pool a run builds."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_has_one_worker_per_group_at_most(self, tmp_path, pool_sizes):
+        out1, out2 = tmp_path / "seq", tmp_path / "par"
+        cfg = _synth_config(out1, seeds=[0, 1])  # two groups
+        run_experiment(ExperimentConfig.from_dict(cfg))
+        assert pool_sizes == []
+        run_experiment(ExperimentConfig.from_dict(cfg), jobs=3, output_override=str(out2))
+        assert pool_sizes == [2]
+        a, b = _read_all_outputs(out1), _read_all_outputs(out2)
+        assert a.keys() == b.keys()
+        for name in a:
+            if name != "resolved_config.json":  # embeds the differing output_dir
+                assert a[name] == b[name], f"{name} differs"
+
+    def test_one_group_runs_without_a_pool(self, tmp_path, pool_sizes):
+        out = tmp_path / "runs"
+        run_experiment(ExperimentConfig.from_dict(_synth_config(out)), jobs=3)
+        assert pool_sizes == []
+        assert len(list(out.glob("*_weights.npz"))) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_writes_nothing(self, tmp_path, capsys, jobs):
+        out = tmp_path / "runs"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_synth_config(out)))
+        assert main(["run", str(p), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         out = tmp_path / "runs"
         config = ExperimentConfig.from_dict(_synth_config(out))
@@ -1061,3 +1105,66 @@ class TestOutputErrors:
             summarize(out)
         assert (out / "summary.csv").read_bytes() == before
         assert not (out / ".summary.csv.tmp").exists()
+
+
+def _key_paths(node, path=()):
+    """Every key path under a config node: dict keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+MISSING_KEY = object()
+MUTATIONS = [MISSING_KEY, None, "x", True, "3", 0, -1, 10**30, [], {}, 2.5]
+ONE_EPOCH = {"outer_loops": 1, "epochs_per_block": 1}
+BASE_CONFIG = _synth_config("runs")
+BASE_CONFIG["schedule"].update(ONE_EPOCH)
+# Training, not validation, decides these: both raise Diverged in ``run``.
+DECIDED_BY_TRAINING = [
+    (("dataset", "noise_std"), 10**30),
+    (("schedule", "learning_rate"), 10**30),
+]
+AGREEMENT_CASES = [
+    (path, value)
+    for path in _key_paths(BASE_CONFIG)
+    if path != ("output_dir",)
+    for value in MUTATIONS
+    # A 10**30-long schedule never ends; that is not a validation gap.
+    if not (value == 10**30 and path[-1] in ONE_EPOCH)
+    and (path, value) not in DECIDED_BY_TRAINING
+]
+
+
+class TestValidateRunAgreement:
+    """``validate`` rejects a config exactly when a one-epoch ``run`` does."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "path, value",
+        AGREEMENT_CASES,
+        ids=[
+            f"{'.'.join(map(str, p))}={'missing' if v is MISSING_KEY else repr(v)}"
+            for p, v in AGREEMENT_CASES
+        ],
+    )
+    def test_validate_and_run_agree(self, tmp_path, capsys, path, value):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        *parents, key = path
+        node = cfg
+        for step in parents:
+            node = node[step]
+        if value is MISSING_KEY:
+            del node[key]
+        else:
+            node[key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        validated = main(["validate", str(p)])
+        ran = main(["run", str(p), "--output", str(tmp_path / "runs")])
+        assert validated == ran, capsys.readouterr().err

@@ -262,6 +262,22 @@ class TestLoadCsvRegression:
 
     @pytest.mark.parametrize(
         "text, message",
+        [
+            ("1,NA,3,4,5\n6,7,8,9,10\n", "row 0, column 1: 'NA' is not a finite number"),
+            ("nan,nan,nan\n1,2,3\n", "row 0, column 0: 'nan' is not a finite number"),
+        ],
+        ids=["mixed", "all_nan"],
+    )
+    def test_first_row_with_a_number_is_data(self, tmp_path, text, message):
+        """Only a first row in which no cell reads as a number is a header;
+        any other first row is data, and its bad cells are parse errors."""
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"data.csv: {message}"):
+            load_csv_regression(p, num_targets=1)
+
+    @pytest.mark.parametrize(
+        "text, message",
         [("", "file holds no data rows"), ("a,b,y\n", "only a header row present")],
         ids=["empty", "header_only"],
     )
