@@ -23,8 +23,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, astuple, dataclass, fields
-from functools import lru_cache
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import get_type_hints
 from zipfile import BadZipFile
@@ -370,9 +370,7 @@ def _method_knobs(config: ExperimentConfig, method: str, p: int, d: int):
     )
 
 
-def _plan(
-    config: ExperimentConfig, train: Dataset | IdxSplit, seeds: tuple[int, ...]
-) -> list[tuple]:
+def _plan(config: ExperimentConfig, train: Dataset | IdxSplit) -> list[tuple]:
     """The sweep's groups in run order, each ``(methods, cell names, seed,
     rows, stratified)``; a group is the cells of one (training size, seed)
     that share a dropout rate, and ``rows`` and ``stratified`` are what
@@ -388,18 +386,17 @@ def _plan(
             rows, stratified = size, train.kind == DatasetKind.CLASSIFICATION
         pick_rows(train, rows, 0, stratified)  # raises SizeTooLarge
         tag = "full" if size is None else size
-        for seed in seeds:
+        for seed in config.seeds:
             for methods in by_rate.values():
                 names = tuple(f"{m}_n{tag}_s{seed}" for m in methods)
                 plan.append((tuple(methods), names, seed, rows, stratified))
     return plan
 
 
-def _run_group(
-    config: ExperimentConfig, loss: LossKind, group: tuple, out_dir: Path
-) -> None:
+def _run_group(config: ExperimentConfig, loss: LossKind, group: tuple) -> None:
     """Train one ``_plan`` group and write each of its cells' artifacts."""
     methods, names, seed, rows, stratified = group
+    out_dir = Path(config.output_dir)
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
     train = subsample(train_full, rows, [seed, 101], stratified)
 
@@ -536,9 +533,14 @@ def run_experiment(
 ) -> int:
     """Run every (method, training size, seed) cell of the sweep.
 
+    ``seed_override`` (non-empty, distinct ints >= 0, as ``seeds``) and
+    ``output_override`` replace the config's seeds and output directory in
+    the one config that the plan, ``resolved_config.json`` and each group read.
     The cells train in the groups of ``_plan``; a Diverged stops the group
     and names the failing cell.  ``jobs`` worker processes, at most one per
-    group, run the groups; with one, they run in this process.
+    group, run the groups; with one, they run in this process.  In a pool, a
+    group that raises cancels the groups not yet handed to a worker, and a
+    worker process that dies is an AdaRegError.
 
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
@@ -549,31 +551,36 @@ def run_experiment(
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if seed_override is not None:
+        config = replace(config, seeds=_int_list([*seed_override], 0, "seed override"))
+    if output_override:
+        config = replace(config, output_dir=str(Path(output_override)))
     _load_base_cached.cache_clear()  # ADAREG_DATA_DIR or the files may have changed
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
     loss = _loss_kind(config, train_full, test)
     Network.init(list(config.layer_sizes), loss, 0)
-    seeds = seed_override if seed_override else config.seeds
-    plan = _plan(config, train_full, seeds)
-    out_dir = Path(output_override or config.output_dir)
+    plan = _plan(config, train_full)
+    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = config.to_dict()
-    resolved["seeds"] = list(seeds)
-    if output_override:
-        resolved["output_dir"] = str(out_dir)
-    _write_json(out_dir / "resolved_config.json", resolved)
+    _write_json(out_dir / "resolved_config.json", config.to_dict())
 
+    run = partial(_run_group, config, loss)
     workers = min(jobs, len(plan))
     if workers == 1:
         for group in plan:
-            _run_group(config, loss, group, out_dir)
+            run(group)
     else:
         # Imported here: multiprocessing loads only for runs that need a pool.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(_run_group, config, loss, g, out_dir) for g in plan]:
-                fut.result()
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                # The first group that raises cancels those not yet handed out.
+                list(pool.map(run, plan))
+        except BrokenProcessPool:
+            msg = "a worker process died (for example, killed or out of memory)"
+            raise AdaRegError(msg) from None
     cells = sum(len(names) for _, names, *_ in plan)
     print(f"[adareg] wrote {cells} cells to {out_dir}", file=sys.stderr)
     return 0
@@ -681,10 +688,9 @@ def export_correlation(run_directory, layer_index: int) -> list[Path]:
 
 def _parse_seed_list(text: str) -> tuple[int, ...]:
     try:
-        seeds = [int(part) for part in text.split(",")]
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"bad seed list {text!r}") from None
-    return _int_list(seeds, 0, "seed override")
 
 
 def main(argv=None) -> int:

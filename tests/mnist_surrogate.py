@@ -31,10 +31,14 @@ _GLYPHS = {
 
 IMAGE_SIDE = 28
 
-
-def _glyph_array(digit: int) -> np.ndarray:
-    rows = _GLYPHS[digit]
-    return np.array([[float(c) for c in row] for row in rows])
+# Each glyph upscaled by each scale _render draws (2 or 3), built once.
+_BLOCKS = {
+    (digit, scale): np.kron(
+        np.array([[float(c) for c in row] for row in rows]), np.ones((scale, scale))
+    )
+    for digit, rows in _GLYPHS.items()
+    for scale in (2, 3)
+}
 
 
 def _render(digit: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,7 +46,7 @@ def _render(digit: int, rng: np.random.Generator) -> np.ndarray:
     contrast, a distractor bar, and pixel noise."""
     img = np.zeros((IMAGE_SIDE, IMAGE_SIDE))
     scale = int(rng.integers(2, 4))
-    block = np.kron(_glyph_array(digit), np.ones((scale, scale)))
+    block = _BLOCKS[digit, scale]
     if rng.random() < 0.5:  # thicken strokes by smearing one pixel diagonally
         shifted = np.zeros_like(block)
         shifted[1:, 1:] = block[:-1, :-1]

@@ -1,8 +1,10 @@
 """Tests for the experiment harness: config validation, runs, summaries,
 correlation export, and byte-level determinism."""
 
+import concurrent.futures
 import json
 import os
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -20,6 +22,7 @@ from adareg.cli import (
 )
 from adareg.errors import (
     ConfigError,
+    Diverged,
     EmptyDirectory,
     MissingWeights,
     SchemaMismatch,
@@ -77,11 +80,21 @@ def _synth_config(out_dir, **overrides):
     return cfg
 
 
-def _idx_config(data_dir, out_dir, **overrides):
+def _write_idx_files(data_dir):
+    """The four IDX files an ``_idx_settings`` config names: 120 training and
+    40 test surrogate digits."""
     train = make_dataset(120, seed=7)
     test = make_dataset(40, seed=8)
     write_idx(train, data_dir / "tr-img", data_dir / "tr-lab", 28, 28)
     write_idx(test, data_dir / "te-img", data_dir / "te-lab", 28, 28)
+
+
+def _idx_config(data_dir, out_dir, **overrides):
+    _write_idx_files(data_dir)
+    return _idx_settings(data_dir, out_dir, **overrides)
+
+
+def _idx_settings(data_dir, out_dir, **overrides):
     cfg = {
         "dataset": {
             "kind": "mnist_idx",
@@ -280,6 +293,26 @@ class TestConfigValidation:
             assert "error: config must be a JSON object" in capsys.readouterr().err
 
 
+_RUN_GROUP = cli._run_group
+
+
+def _fail_seed_0_then_sleep(config, loss, group):
+    """Stand-in for ``cli._run_group``: the seed-0 group fails at once, and
+    every other group waits 0.5 s before it trains, so the failure reaches
+    the parent before the worker asks for more groups."""
+    if group[2] == 0:
+        raise Diverged(f"{group[1][0]}: stand-in failure")
+    time.sleep(0.5)
+    _RUN_GROUP(config, loss, group)
+
+
+def _exit_on_seed_1(config, loss, group):
+    """Stand-in for ``cli._run_group`` whose worker dies on the seed-1 group."""
+    if group[2] == 1:
+        os._exit(9)
+    _RUN_GROUP(config, loss, group)
+
+
 class TestRunExperiment:
     def test_smoke_run_writes_expected_files(self, tmp_path):
         out = tmp_path / "runs"
@@ -352,6 +385,42 @@ class TestRunExperiment:
             if name != "resolved_config.json":  # embeds the differing output_dir
                 assert a[name] == b[name], f"{name} differs"
 
+    @pytest.fixture
+    def one_worker_pool(self, monkeypatch):
+        """Every process pool a run builds has one worker, whatever it asks."""
+
+        class OneWorkerPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                super().__init__(1, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneWorkerPool)
+
+    def test_failed_group_cancels_the_queued_groups(
+        self, tmp_path, capsys, monkeypatch, one_worker_pool
+    ):
+        """The worker holds at most three groups (the one it runs and the two
+        its call queue buffers) when the first group fails; the rest are
+        cancelled, and the groups handed out finish with their artifacts."""
+        monkeypatch.setattr(cli, "_run_group", _fail_seed_0_then_sleep)
+        out = tmp_path / "runs"
+        p = tmp_path / "cfg.json"
+        cfg = _synth_config(out, methods=["none"], seeds=list(range(8)))  # 8 groups
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--jobs", "2"]) == 1
+        assert capsys.readouterr().err == "error: none_n32_s0: stand-in failure\n"
+        files = [sorted(out.glob(f"none_n32_s{seed}_*")) for seed in range(8)]
+        assert not any(files[4:])
+        assert {len(cell) for cell in files[1:4]} <= {0, 3}
+
+    def test_dead_worker_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_group", _exit_on_seed_1)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_synth_config(tmp_path / "runs", seeds=[0, 1, 2])))
+        assert main(["run", str(p), "--jobs", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: a worker process died (for example, killed or out of memory)\n"
+        )
+
     def test_one_group_runs_without_a_pool(self, tmp_path, pool_sizes):
         out = tmp_path / "runs"
         run_experiment(ExperimentConfig.from_dict(_synth_config(out)), jobs=3)
@@ -375,6 +444,22 @@ class TestRunExperiment:
         assert (out / "none_n32_s5_summary.json").exists()
         assert (out / "none_n32_s6_summary.json").exists()
         assert not (out / "none_n32_s0_summary.json").exists()
+
+    @pytest.mark.parametrize("seeds", [(0, 0), (-1,), (), (0.5,), (True,)], ids=repr)
+    def test_seed_override_follows_the_seeds_rule(self, tmp_path, seeds):
+        out = tmp_path / "runs"
+        config = ExperimentConfig.from_dict(_synth_config(out))
+        with pytest.raises(ConfigError, match="seed override"):
+            run_experiment(config, seed_override=seeds)
+        assert not out.exists()
+
+    def test_resolved_config_records_the_overrides(self, tmp_path):
+        out = tmp_path / "other"
+        config = ExperimentConfig.from_dict(_synth_config(tmp_path / "runs"))
+        run_experiment(config, seed_override=(6, 5), output_override=str(out))
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved == {**config.to_dict(), "seeds": [6, 5], "output_dir": str(out)}
+        assert not (tmp_path / "runs").exists()
 
     def test_idx_pipeline_and_env_root(self, tmp_path, monkeypatch):
         data_dir = tmp_path / "data"
@@ -1130,31 +1215,58 @@ DECIDED_BY_TRAINING = [
     (("dataset", "noise_std"), 10**30),
     (("schedule", "learning_rate"), 10**30),
 ]
-AGREEMENT_CASES = [
-    (path, value)
-    for path in _key_paths(BASE_CONFIG)
-    if path != ("output_dir",)
-    for value in MUTATIONS
-    # A 10**30-long schedule never ends; that is not a validation gap.
-    if not (value == 10**30 and path[-1] in ONE_EPOCH)
-    and (path, value) not in DECIDED_BY_TRAINING
+# IDX file names resolve against ADAREG_DATA_DIR, which the test sets.
+BASE_IDX_CONFIG = _idx_settings(Path(), "runs")
+# ``validate`` reads no data file, so only ``run`` can reject these.
+SEEN_ONLY_IN_FILES = [
+    # An IDX path that names no file (test_missing_dataset_file_is_a_data_error).
+    *((("dataset", key), name) for key in cli.IDX_KEYS for name in ("x", "3")),
+    # Layer sizes that do not fit the files' shapes: [8, 10] and [784, 8]
+    # (test_mismatch_found_before_any_file_is_written).
+    (("architecture", "layer_sizes", 0), MISSING_KEY),
+    (("architecture", "layer_sizes", 2), MISSING_KEY),
+    # More rows than the training file holds
+    # (test_size_too_large_fails_before_any_file_is_written).
+    (("training_sizes", 0), 10**30),
 ]
+
+
+def _agreement_cases(base, exempt):
+    """Each mutation at each key path of ``base`` but ``output_dir``, less
+    ``exempt``."""
+    return [
+        (path, value)
+        for path in _key_paths(base)
+        if path != ("output_dir",)
+        for value in MUTATIONS
+        # A 10**30-long schedule never ends; that is not a validation gap.
+        if not (value == 10**30 and path[-1] in ONE_EPOCH)
+        and (path, value) not in exempt
+    ]
+
+
+def _case_id(path, value):
+    shown = "missing" if value is MISSING_KEY else repr(value)
+    return f"{'.'.join(map(str, path))}={shown}"
+
+
+AGREEMENT_CASES = _agreement_cases(BASE_CONFIG, DECIDED_BY_TRAINING)
+IDX_AGREEMENT_CASES = _agreement_cases(BASE_IDX_CONFIG, SEEN_ONLY_IN_FILES)
+
+
+@pytest.fixture(scope="module")
+def idx_data_dir(tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("idx")
+    _write_idx_files(data_dir)
+    return data_dir
 
 
 class TestValidateRunAgreement:
     """``validate`` rejects a config exactly when a one-epoch ``run`` does."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "path, value",
-        AGREEMENT_CASES,
-        ids=[
-            f"{'.'.join(map(str, p))}={'missing' if v is MISSING_KEY else repr(v)}"
-            for p, v in AGREEMENT_CASES
-        ],
-    )
-    def test_validate_and_run_agree(self, tmp_path, capsys, path, value):
-        cfg = json.loads(json.dumps(BASE_CONFIG))
+    @staticmethod
+    def _validate_and_run(base, path, value, tmp_path):
+        cfg = json.loads(json.dumps(base))
         *parents, key = path
         node = cfg
         for step in parents:
@@ -1166,5 +1278,39 @@ class TestValidateRunAgreement:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         validated = main(["validate", str(p)])
-        ran = main(["run", str(p), "--output", str(tmp_path / "runs")])
+        return validated, main(["run", str(p), "--output", str(tmp_path / "runs")])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "path, value", AGREEMENT_CASES, ids=[_case_id(*c) for c in AGREEMENT_CASES]
+    )
+    def test_validate_and_run_agree(self, tmp_path, capsys, path, value):
+        validated, ran = self._validate_and_run(BASE_CONFIG, path, value, tmp_path)
         assert validated == ran, capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "path, value",
+        IDX_AGREEMENT_CASES,
+        ids=[_case_id(*c) for c in IDX_AGREEMENT_CASES],
+    )
+    def test_validate_and_run_agree_on_idx(
+        self, tmp_path, capsys, monkeypatch, idx_data_dir, path, value
+    ):
+        monkeypatch.setenv("ADAREG_DATA_DIR", str(idx_data_dir))
+        validated, ran = self._validate_and_run(BASE_IDX_CONFIG, path, value, tmp_path)
+        assert validated == ran, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        SEEN_ONLY_IN_FILES,
+        ids=[_case_id(*c) for c in SEEN_ONLY_IN_FILES],
+    )
+    def test_idx_exemptions_pass_validate_and_fail_run(
+        self, tmp_path, capsys, monkeypatch, idx_data_dir, path, value
+    ):
+        monkeypatch.setenv("ADAREG_DATA_DIR", str(idx_data_dir))
+        validated, ran = self._validate_and_run(BASE_IDX_CONFIG, path, value, tmp_path)
+        assert (validated, ran) == (0, 1)
+        assert capsys.readouterr().err.count("error: ") == 1
+        assert not (tmp_path / "runs").exists()
