@@ -536,11 +536,11 @@ def run_experiment(
     ``seed_override`` (non-empty, distinct ints >= 0, as ``seeds``) and
     ``output_override`` replace the config's seeds and output directory in
     the one config that the plan, ``resolved_config.json`` and each group read.
-    The cells train in the groups of ``_plan``; a Diverged stops the group
-    and names the failing cell.  ``jobs`` worker processes, at most one per
-    group, run the groups; with one, they run in this process.  In a pool, a
-    group that raises cancels the groups not yet handed to a worker, and a
-    worker process that dies is an AdaRegError.
+    The cells train in the groups of ``_plan``; the first group to raise, in
+    plan order, stops the sweep, and a Diverged names the failing cell.
+    ``jobs`` worker processes, at most one per group, run the groups; with
+    one, in this process.  A pool starts a group only on a free worker and
+    none after a failure.  A worker process that dies is an AdaRegError.
 
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
@@ -571,13 +571,21 @@ def run_experiment(
             run(group)
     else:
         # Imported here: multiprocessing loads only for runs that need a pool.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                # The first group that raises cancels those not yet handed out.
-                list(pool.map(run, plan))
+                futures = []
+                for group in plan:
+                    running = [f for f in futures if not f.done()]
+                    if len(running) == workers:
+                        wait(running, return_when=FIRST_COMPLETED)
+                    if any(f.done() and f.exception() for f in futures):
+                        break
+                    futures.append(pool.submit(run, group))
+                for future in futures:
+                    future.result()
         except BrokenProcessPool:
             msg = "a worker process died (for example, killed or out of memory)"
             raise AdaRegError(msg) from None

@@ -281,21 +281,23 @@ def run_adareg(
                 )
             )
 
-    for _ in range(schedule.outer_loops):
-        states = train_block(
-            states,
-            schedule,
-            dataset,
-            seed,
-            weight_decay,
-            dropout_rate,
-            epoch_callback=partial(record, states),
-        )
-        states = tuple(
-            update_precisions(s)
-            if s.lam > 0.0
-            else replace(s, outer_iter=s.outer_iter + 1)
-            for s in states
-        )
+    # sgd_step and record raise Diverged; numpy's overflow warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(schedule.outer_loops):
+            states = train_block(
+                states,
+                schedule,
+                dataset,
+                seed,
+                weight_decay,
+                dropout_rate,
+                epoch_callback=partial(record, states),
+            )
+            states = tuple(
+                update_precisions(s)
+                if s.lam > 0.0
+                else replace(s, outer_iter=s.outer_iter + 1)
+                for s in states
+            )
     results = list(zip(states, logs))
     return results if group else results[0]

@@ -505,7 +505,6 @@ class TestGroupTraining:
             for g, w in zip(got.net.layers, want.net.layers):
                 assert g.weight.tobytes() == w.weight.tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_cell_is_named(self):
         ds = _toy_regression(n=16, seed=41)
         sched = BcdSchedule(1, 3, 8, 0.1)
