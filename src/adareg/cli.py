@@ -55,7 +55,7 @@ from .errors import (
     MissingWeights,
     SchemaMismatch,
 )
-from .net import LossKind, Network
+from .net import LossKind, Network, squared_error
 from .optimizer import BcdSchedule, EpochRecord, MetricLog, predict, run_adareg
 from .spectral import SpectralBounds
 
@@ -351,11 +351,15 @@ def _check_dims(layer_sizes, input_dim, target_columns, num_classes=None) -> Non
 
 
 def _loss_kind(config: ExperimentConfig, *splits: Dataset | IdxSplit) -> LossKind:
-    """The splits' loss; ConfigError if any split does not fit the architecture."""
+    """The splits' loss; ConfigError if any split does not fit the architecture,
+    ZeroVariance if a regression split has a constant target column.  Each
+    regression split's target variance, computed here, is kept for evaluation."""
     classes = splits[0].kind == DatasetKind.CLASSIFICATION
     for split in splits:
         ends = (None, split.num_classes) if classes else (split.targets.shape[1], None)
         _check_dims(config.layer_sizes, split.input_dim, *ends)
+        if not classes:
+            split.target_variance  # computed once and kept; raises ZeroVariance
     return LossKind.SOFTMAX_CROSS_ENTROPY if classes else LossKind.SQUARED_ERROR
 
 
@@ -501,8 +505,9 @@ def _write_summary_json(
         "correlation": correlation_matrix(final.regularized_weight).tolist(),
     }
     if not is_classification:
+        _, squared = squared_error(final, predict(final, test), test.targets)
         summary["per_task_explained_variance"] = [
-            float(x) for x in explained_variance(predict(final, test), test.targets)
+            float(x) for x in explained_variance(squared, test.target_variance)
         ]
     _write_json(path, summary)
 

@@ -13,10 +13,12 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import target_variance
 from .errors import (
     BadMagic,
     CountMismatch,
@@ -102,6 +104,12 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.inputs.shape[1]
+
+    @cached_property
+    def target_variance(self) -> np.ndarray:
+        """A regression dataset's target variance per column, computed on
+        first use; ZeroVariance if a column is constant."""
+        return target_variance(self.targets)
 
     def take(self, idx) -> Dataset:
         return Dataset(self.inputs[idx], self.targets[idx], self.kind)

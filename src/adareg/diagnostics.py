@@ -24,6 +24,7 @@ __all__ = [
     "stable_rank",
     "generalization_proxy",
     "correlation_matrix",
+    "target_variance",
     "explained_variance",
 ]
 
@@ -99,23 +100,24 @@ def correlation_matrix(w) -> np.ndarray:
     return corr
 
 
-def explained_variance(predictions, targets) -> np.ndarray:
-    """Per-column 1 - MSE / Var(target); 1 is perfect, 0 matches the mean.
-
-    Variance is the population variance of each target column; constant
-    columns raise ZeroVariance.
-    """
-    pred = np.asarray(predictions, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if pred.ndim == 1:
-        pred = pred[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-    if pred.shape != y.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {y.shape}")
-    var = y.var(axis=0)
+def target_variance(targets) -> np.ndarray:
+    """Population variance of each (rows, tasks) target column; a constant
+    column raises ZeroVariance."""
+    var = np.asarray(targets, dtype=float).var(axis=0)
     zero = np.flatnonzero(var == 0.0)
     if zero.size:
         raise ZeroVariance(f"target column {zero[0]} is constant")
-    mse = np.mean((pred - y) ** 2, axis=0)
-    return 1.0 - mse / var
+    return var
+
+
+def explained_variance(squared_residual, variance) -> np.ndarray:
+    """Per-column 1 - MSE / Var(target); 1 is perfect, 0 matches the mean.
+
+    Takes the (rows, tasks) squared residual (predictions - targets)**2 and
+    the targets' ``target_variance``.
+    """
+    sq = np.asarray(squared_residual, dtype=float)
+    var = np.asarray(variance, dtype=float)
+    if sq.shape[1:] != var.shape:
+        raise ValueError(f"shape mismatch: residual {sq.shape}, variance {var.shape}")
+    return 1.0 - np.mean(sq, axis=0) / var

@@ -37,6 +37,7 @@ __all__ = [
     "Gradients",
     "forward",
     "loss_from_outputs",
+    "squared_error",
     "loss_value",
     "backward",
     "sgd_step",
@@ -294,16 +295,24 @@ def _read_targets(net: Network, outputs: np.ndarray, targets) -> np.ndarray:
 def loss_from_outputs(net: Network, outputs: np.ndarray, targets) -> float:
     """Mean loss of already computed network outputs against their targets;
     its one (rows, out) temporary is reused in place."""
+    if net.loss is LossKind.SQUARED_ERROR:
+        return squared_error(net, outputs, targets)[0]
     n = outputs.shape[0]
     y = _read_targets(net, outputs, targets)
-    if net.loss is LossKind.SOFTMAX_CROSS_ENTROPY:
-        shifted = outputs - outputs.max(axis=1, keepdims=True)
-        picked = shifted[np.arange(n), y]
-        log_norm = np.log(np.sum(np.exp(shifted, out=shifted), axis=1))
-        return float(np.mean(log_norm - picked))
-    diff = outputs - y
-    diff *= diff
-    return float(np.sum(diff) / (2.0 * n))
+    shifted = outputs - outputs.max(axis=1, keepdims=True)
+    picked = shifted[np.arange(n), y]
+    log_norm = np.log(np.sum(np.exp(shifted, out=shifted), axis=1))
+    return float(np.mean(log_norm - picked))
+
+
+def squared_error(net: Network, outputs: np.ndarray, targets) -> tuple[float, np.ndarray]:
+    """(half mean squared error, squared residual) of a regression network's
+    outputs against their targets.  The squared residual, (rows, out), is
+    one new array; the loss is its sum over 2 * rows."""
+    y = _read_targets(net, outputs, targets)
+    squared = outputs - y
+    squared *= squared
+    return float(np.sum(squared) / (2.0 * outputs.shape[0])), squared
 
 
 def loss_value(net: Network, batch: Batch) -> float:
@@ -376,6 +385,9 @@ def sgd_step(
 ) -> Network:
     """One SGD update; returns a new network with newly allocated parameters.
 
+    Each weight and bias is one new array: the step is scaled and subtracted
+    in place, with the bits of ``p - lr * g``.
+
     Weight decay adds ``weight_decay * W`` to each weight gradient (never to
     biases); the extra gradient (the prior's trace-term gradient) adds to
     the regularized layer only.  For a stacked network each term may be
@@ -390,15 +402,18 @@ def sgd_step(
     extras = _per_cell(extra_grad_for_regularized_layer, len(slices), "extra gradient")
     new_layers = []
     for i, layer in enumerate(net.layers):
-        gw = grads.weight[i].copy()
+        # w holds the weight gradient, then the step, then the new weight.
+        w = grads.weight[i].copy()
         regularized = i == net.regularized_layer_index
         for c, decay, extra in zip(slices, decays, extras):
             if decay != 0.0:
-                gw[c] += decay * layer.weight[c]
+                w[c] += decay * layer.weight[c]
             if regularized and extra is not None:
-                gw[c] += extra
-        w = layer.weight - learning_rate * gw
-        b = layer.bias - learning_rate * grads.bias[i]
+                w[c] += extra
+        w *= learning_rate
+        np.subtract(layer.weight, w, out=w)
+        b = grads.bias[i] * learning_rate
+        np.subtract(layer.bias, b, out=b)
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             finite = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
             cell = None if net.cells is None else int(np.flatnonzero(~finite)[0])

@@ -30,6 +30,7 @@ from adareg.errors import (
 )
 from mnist_surrogate import make_dataset
 from adareg import cli
+from adareg import data as data_mod
 from adareg.data import (
     Dataset,
     DatasetKind,
@@ -330,6 +331,32 @@ class TestRunExperiment:
             for suffix in ("metrics.csv", "summary.json", "weights.npz"):
                 assert (out / f"{method}_n32_s0_{suffix}").exists()
         assert (out / "resolved_config.json").exists()
+
+    def test_each_split_computes_its_target_variance_once(self, tmp_path, monkeypatch):
+        """The load-time check computes both splits' target variances, and
+        every group's training subsample computes its own, each once."""
+        computed = []
+        original = data_mod.target_variance
+
+        def counting(targets):
+            computed.append(targets)
+            return original(targets)
+
+        monkeypatch.setattr(data_mod, "target_variance", counting)
+        raw = _synth_config(
+            tmp_path / "runs",
+            methods=["none", "adareg", "dropout"],
+            dropout_rate=0.1,
+            training_sizes=[32, 48],
+            seeds=[0, 1],
+        )
+        config = ExperimentConfig.from_dict(raw)
+        assert run_experiment(config) == 0
+        train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
+        groups = 2 * 2 * 2  # training sizes x seeds x dropout rates
+        assert len(computed) == 2 + groups
+        assert computed[0] is train_full.targets and computed[1] is test.targets
+        assert len({id(t) for t in computed}) == len(computed)
 
     def test_metrics_csv_shape(self, tmp_path):
         out = tmp_path / "runs"
@@ -785,6 +812,21 @@ class TestCsvRegression:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "test.csv: row 2, column 1: 'nan' is not a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_constant_target_column_fails_before_any_file_is_written(
+        self, tmp_path, capsys, split
+    ):
+        out = tmp_path / "runs"
+        p = self._config(tmp_path, out, None)
+        path = tmp_path / f"{split}.csv"
+        header, *rows = path.read_text().splitlines()
+        rows = [row.rsplit(",", 1)[0] + ",1.5" for row in rows]  # y1 constant
+        path.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["validate", str(p)]) == 0  # cells are read only by run
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == "error: target column 1 is constant\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from adareg.diagnostics import (
     generalization_proxy,
     spectral_norm,
     stable_rank,
+    target_variance,
 )
 from adareg.errors import ConvergenceFailure, DegenerateRow, ZeroMatrix, ZeroVariance
 from adareg.net import Activation, DenseLayer, LossKind, Network
@@ -219,34 +220,37 @@ class TestCorrelationMatrix:
             correlation_matrix(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
 
 
+def _ev(pred, y):
+    """Explained variance of predictions against targets."""
+    return explained_variance((pred - y) ** 2, target_variance(y))
+
+
 class TestExplainedVariance:
     def test_perfect_predictions(self):
         y = np.random.default_rng(11).normal(size=(20, 3))
-        np.testing.assert_allclose(explained_variance(y, y), np.ones(3))
+        np.testing.assert_allclose(_ev(y, y), np.ones(3))
 
     def test_mean_predictor_scores_zero(self):
         y = np.random.default_rng(12).normal(size=(50, 2))
         pred = np.tile(y.mean(axis=0), (50, 1))
-        np.testing.assert_allclose(
-            explained_variance(pred, y), np.zeros(2), atol=1e-12
-        )
+        np.testing.assert_allclose(_ev(pred, y), np.zeros(2), atol=1e-12)
 
     def test_hand_computation(self):
         y = np.array([[0.0], [1.0], [2.0]])
         pred = np.array([[0.0], [1.0], [1.0]])
         # mse = 1/3, var = 2/3 -> ev = 0.5
-        assert explained_variance(pred, y)[0] == pytest.approx(0.5)
+        assert _ev(pred, y)[0] == pytest.approx(0.5)
 
     def test_multitask_columns_independent(self):
         y = np.array([[0.0, 5.0], [1.0, 5.5], [2.0, 6.0]])
         pred = np.column_stack([y[:, 0], np.full(3, 5.5)])
-        ev = explained_variance(pred, y)
+        ev = _ev(pred, y)
         assert ev[0] == pytest.approx(1.0)
         assert ev[1] == pytest.approx(0.0)
 
     def test_constant_target_raises(self):
-        with pytest.raises(ZeroVariance):
-            explained_variance(np.zeros((4, 1)), np.ones((4, 1)))
+        with pytest.raises(ZeroVariance, match="target column 1 is constant"):
+            target_variance(np.array([[0.0, 1.0], [2.0, 1.0]]))
 
 
 class TestInputGuards:
@@ -259,7 +263,7 @@ class TestInputGuards:
             (lambda: generalization_proxy(
                 Network.init([3, 2], LossKind.SQUARED_ERROR, seed=0), 0),
              "n must be positive"),
-            (lambda: explained_variance(np.zeros((4, 2)), np.ones((4, 3))), "shape mismatch"),
+            (lambda: explained_variance(np.zeros((4, 2)), np.ones(3)), "shape mismatch"),
         ],
         ids=["one_dim_matrix", "zero_n", "mismatched_shapes"],
     )

@@ -420,6 +420,38 @@ class TestSgdStep:
         out = sgd_step(net, backward(net, batch), learning_rate=0.05)
         assert loss_value(out, batch) < before
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_new_parameters_share_no_memory(self, stacked):
+        """Each returned weight and bias is a new array: writing it can
+        reach neither ``grads`` nor the network the step started from."""
+        rng = np.random.default_rng(14)
+        nets = [Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=s) for s in (15, 16)]
+        net = Network.stack(nets) if stacked else nets[0]
+        grads = backward(net, Batch(rng.normal(size=(8, 3)), rng.normal(size=(8, 2))))
+        out = sgd_step(net, grads, 0.1, 1e-2, rng.normal(size=(2, 4)))
+        old = [a for l in net.layers for a in (l.weight, l.bias)]
+        old += list(grads.weight + grads.bias)
+        new = [a for l in out.layers for a in (l.weight, l.bias)]
+        assert not any(np.shares_memory(a, b) for a in new for b in old)
+        assert not any(np.shares_memory(a, b) for a in new for b in new if a is not b)
+
+    def test_step_has_the_bits_of_the_plain_formula(self):
+        """Scaling and subtracting in place gives the bits of
+        ``W - lr * (gW + decay * W + extra)`` and ``b - lr * gb``."""
+        rng = np.random.default_rng(17)
+        net = Network.init([5, 6, 3], LossKind.SQUARED_ERROR, seed=18)
+        grads = backward(net, Batch(rng.normal(size=(9, 5)), rng.normal(size=(9, 3))))
+        extra = rng.normal(size=(3, 6))
+        out = sgd_step(net, grads, 0.07, 3e-3, extra)
+        for i, (layer, new) in enumerate(zip(net.layers, out.layers)):
+            gw = grads.weight[i] + 3e-3 * layer.weight
+            if i == net.regularized_layer_index:
+                gw = gw + extra
+            want_w = layer.weight - 0.07 * gw
+            want_b = layer.bias - 0.07 * grads.bias[i]
+            assert new.weight.tobytes() == want_w.tobytes()
+            assert new.bias.tobytes() == want_b.tobytes()
+
     def test_raises_on_non_finite(self):
         net = Network.init([2, 1], LossKind.SQUARED_ERROR, seed=13)
         bad = Gradients(

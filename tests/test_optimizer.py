@@ -10,10 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+from adareg import data as data_mod
 from adareg import net as net_mod
 from adareg.data import Dataset, DatasetKind
-from adareg.diagnostics import explained_variance
-from adareg.errors import Diverged
+from adareg.errors import Diverged, ZeroVariance
 from adareg.net import (
     Activation,
     DenseLayer,
@@ -252,7 +252,9 @@ class TestOneForwardPassPerEvaluation:
         loss = loss_from_outputs(network, outputs, dataset.targets)
         if dataset.kind == DatasetKind.CLASSIFICATION:
             return loss, float(np.mean(outputs.argmax(axis=1) == dataset.targets))
-        return loss, float(np.mean(explained_variance(outputs, dataset.targets)))
+        y = dataset.targets
+        ev = 1.0 - np.mean((outputs - y) ** 2, axis=0) / y.var(axis=0)
+        return loss, float(np.mean(ev))
 
     @pytest.mark.parametrize("kind", [DatasetKind.CLASSIFICATION, DatasetKind.REGRESSION])
     def test_evaluate_makes_one_pass(self, forward_calls, kind):
@@ -421,6 +423,37 @@ class TestRunAdareg:
                     fd[i, j] += sign * val / (2.0 * step)
         rel = np.abs(total - fd).max() / np.abs(fd).max()
         assert rel < 1e-4
+
+
+class TestRegressionScoring:
+    """evaluate scores regression from one squared residual, against the
+    target variance each dataset computes once."""
+
+    def test_constant_target_column_raises(self):
+        data = _toy_regression(n=12, d=3, t=2, seed=19)
+        targets = data.targets.copy()
+        targets[:, 1] = 4.0
+        constant = Dataset(data.inputs, targets, DatasetKind.REGRESSION)
+        network = Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=20)
+        with pytest.raises(ZeroVariance, match="target column 1 is constant"):
+            evaluate(network, constant)
+
+    def test_each_dataset_computes_its_variance_once(self, monkeypatch):
+        computed = []
+        original = data_mod.target_variance
+
+        def counting(targets):
+            computed.append(targets)
+            return original(targets)
+
+        monkeypatch.setattr(data_mod, "target_variance", counting)
+        train, test = _toy_regression(seed=21), _toy_regression(n=10, seed=22)
+        network = Network.init([3, 4, 2], LossKind.SQUARED_ERROR, seed=23)
+        _, log = run_adareg(
+            network, BcdSchedule(2, 3, 8, 0.05), train, B10, 0.01, 0, test_dataset=test
+        )
+        assert len(log.records) == 6
+        assert [id(t) for t in computed] == [id(train.targets), id(test.targets)]
 
 
 class TestPredict:
