@@ -45,7 +45,12 @@ from .data import (
     subsample,
     synth_multitask,
 )
-from .diagnostics import SpectrumReport, correlation_matrix, explained_variance
+from .diagnostics import (
+    SpectrumReport,
+    correlation_matrix,
+    explained_variance,
+    target_variance,
+)
 from .errors import (
     AdaRegError,
     ConfigError,
@@ -378,7 +383,9 @@ def _plan(config: ExperimentConfig, train: Dataset | IdxSplit) -> list[tuple]:
     """The sweep's groups in run order, each ``(methods, cell names, seed,
     rows, stratified)``; a group is the cells of one (training size, seed)
     that share a dropout rate, and ``rows`` and ``stratified`` are what
-    ``subsample`` takes.  SizeTooLarge if a training size does not fit."""
+    ``subsample`` takes.  Each (training size, seed) picks the rows its
+    groups will train on: SizeTooLarge if they do not fit, and for
+    regression ZeroVariance if their targets have a constant column."""
     by_rate: dict[bool, list[str]] = {}
     for method in config.methods:
         by_rate.setdefault("dropout" in method, []).append(method)
@@ -388,9 +395,11 @@ def _plan(config: ExperimentConfig, train: Dataset | IdxSplit) -> list[tuple]:
             rows, stratified = train.n, False
         else:
             rows, stratified = size, train.kind == DatasetKind.CLASSIFICATION
-        pick_rows(train, rows, 0, stratified)  # raises SizeTooLarge
         tag = "full" if size is None else size
         for seed in config.seeds:
+            picked = pick_rows(train, rows, [seed, 101], stratified)
+            if train.kind == DatasetKind.REGRESSION:
+                target_variance(train.targets[picked])
             for methods in by_rate.values():
                 names = tuple(f"{m}_n{tag}_s{seed}" for m in methods)
                 plan.append((tuple(methods), names, seed, rows, stratified))

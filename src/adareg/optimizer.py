@@ -155,8 +155,12 @@ def update_precisions(state: AdaRegState) -> AdaRegState:
 
     The row solve uses the stale column precision; the column solve uses the
     fresh row precision.  Both are exact minimizers of their subproblems, so
-    the full objective cannot increase.
+    the full objective cannot increase.  When ``lam`` is zero the prior is
+    inert: every pair has zero penalty, so the pair already held is an exact
+    minimizer and is kept, with no solve.
     """
+    if state.lam == 0.0:
+        return replace(state, outer_iter=state.outer_iter + 1)
     w = state.net.regularized_weight
     bounds = state.precisions.bounds
     p, d = w.shape
@@ -242,9 +246,7 @@ def run_adareg(
     Per-epoch logging records train/test loss and metric plus the full
     training objective (loss with the prior penalty, evaluated against the
     precisions the block trained under); test columns repeat the train
-    values when no test set is given.  When ``lam`` is zero the prior is
-    inert and the precision refresh is skipped: the solve would not affect
-    the network or the objective.
+    values when no test set is given.
 
     With ``lam`` a sequence, one entry per cell (and ``weight_decay`` a
     float or one per cell), the cells train from ``network`` as one group
@@ -297,11 +299,6 @@ def run_adareg(
                 dropout_rate,
                 epoch_callback=partial(record, states),
             )
-            states = tuple(
-                update_precisions(s)
-                if s.lam > 0.0
-                else replace(s, outer_iter=s.outer_iter + 1)
-                for s in states
-            )
+            states = tuple(map(update_precisions, states))
     results = list(zip(states, logs))
     return results if group else results[0]

@@ -485,6 +485,19 @@ class TestRunExperiment:
         assert err == f"error: jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes", [[1, 20], [20, 1]], ids=repr)
+    def test_constant_subsample_targets_write_nothing(self, tmp_path, capsys, sizes):
+        """A one-row regression subsample has constant targets; the plan finds
+        them before any file is written, whichever group would train first."""
+        out = tmp_path / "runs"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(_synth_config(out, training_sizes=sizes)))
+        assert main(["validate", str(p)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(p)]) == 1
+        assert capsys.readouterr().err == "error: target column 0 is constant\n"
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         out = tmp_path / "runs"
         config = ExperimentConfig.from_dict(_synth_config(out))

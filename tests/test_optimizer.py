@@ -199,6 +199,14 @@ class TestOneDecompositionPerSolve:
         pair.to_prior()
         assert len(eigh_calls) == 2
 
+    def test_inert_prior_keeps_its_pair_without_decomposing(self, eigh_calls):
+        state = _random_state(np.random.default_rng(10), lam=0.0)
+        eigh_calls.clear()
+        out = update_precisions(state)
+        assert eigh_calls == []
+        assert out.precisions is state.precisions
+        assert out.outer_iter == state.outer_iter + 1
+
     def test_identity_and_to_prior_do_not_decompose(self, eigh_calls):
         pair = PrecisionPair.identity(3, 4, B10)
         prior = pair.to_prior()
