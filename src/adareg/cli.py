@@ -86,6 +86,8 @@ SUMMARY_SCHEMA = "adareg-run-v1"
 
 IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
+ROW_STREAM = 101  # a group's training rows come from the generator [seed, ROW_STREAM]
+
 
 def _keys_of(cls) -> dict:
     """``{field: (type, default)}`` of a dataclass.  A field without a default
@@ -129,11 +131,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
         except OSError as e:
             raise ConfigError(f"cannot read config: {e}") from None
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # also not UTF-8, or too deep
             raise ConfigError(f"config is not valid JSON: {e}") from None
         return cls.from_dict(raw)
 
@@ -355,55 +357,41 @@ def _check_dims(layer_sizes, input_dim, target_columns, num_classes=None) -> Non
         raise ConfigError(f"{num_classes} classes exceed output dim {layer_sizes[-1]}")
 
 
-def _loss_kind(config: ExperimentConfig, *splits: Dataset | IdxSplit) -> LossKind:
-    """The splits' loss; ConfigError if any split does not fit the architecture,
-    ZeroVariance if a regression split has a constant target column.  Each
-    regression split's target variance, computed here, is kept for evaluation."""
-    classes = splits[0].kind == DatasetKind.CLASSIFICATION
-    for split in splits:
+def _plan(
+    config: ExperimentConfig, train: Dataset | IdxSplit, test: Dataset
+) -> tuple[LossKind, list[tuple]]:
+    """The one pass of checks on the loaded splits before a run writes.
+    Returns their loss and the sweep's groups in run order, each ``(methods,
+    cell names, seed, rows, stratified)``: the cells of one (training size,
+    seed) that share a dropout rate, and the ``subsample`` arguments of their
+    rows.  ConfigError if a split does not fit the architecture, MemoryError
+    if one network does not fit the machine, SizeTooLarge if a pair's rows do
+    not fit the training split, and ZeroVariance if a regression split's or
+    pair's targets have a constant column (each split keeps its variance)."""
+    classes = train.kind == DatasetKind.CLASSIFICATION
+    for split in (train, test):
         ends = (None, split.num_classes) if classes else (split.targets.shape[1], None)
         _check_dims(config.layer_sizes, split.input_dim, *ends)
         if not classes:
             split.target_variance  # computed once and kept; raises ZeroVariance
-    return LossKind.SOFTMAX_CROSS_ENTROPY if classes else LossKind.SQUARED_ERROR
-
-
-def _method_knobs(config: ExperimentConfig, method: str, p: int, d: int):
-    """Map a method name to (lambda, weight_decay, dropout_rate)."""
-    lam = config.lam if config.lam is not None else 1.0 / (2.0 * p * d)
-    uses_prior = method.startswith("adareg")
-    return (
-        lam if uses_prior else 0.0,
-        config.weight_decay if "weight_decay" in method else 0.0,
-        config.dropout_rate if "dropout" in method else 0.0,
-    )
-
-
-def _plan(config: ExperimentConfig, train: Dataset | IdxSplit) -> list[tuple]:
-    """The sweep's groups in run order, each ``(methods, cell names, seed,
-    rows, stratified)``; a group is the cells of one (training size, seed)
-    that share a dropout rate, and ``rows`` and ``stratified`` are what
-    ``subsample`` takes.  Each (training size, seed) picks the rows its
-    groups will train on: SizeTooLarge if they do not fit, and for
-    regression ZeroVariance if their targets have a constant column."""
+    loss = LossKind.SOFTMAX_CROSS_ENTROPY if classes else LossKind.SQUARED_ERROR
+    Network.init(list(config.layer_sizes), loss, 0)
     by_rate: dict[bool, list[str]] = {}
     for method in config.methods:
         by_rate.setdefault("dropout" in method, []).append(method)
     plan = []
     for size in config.training_sizes:
-        if size is None or size == train.n:
-            rows, stratified = train.n, False
-        else:
-            rows, stratified = size, train.kind == DatasetKind.CLASSIFICATION
+        rows = train.n if size is None else size
+        stratified = rows != train.n  # ``pick_rows`` stratifies classes only
         tag = "full" if size is None else size
         for seed in config.seeds:
-            picked = pick_rows(train, rows, [seed, 101], stratified)
-            if train.kind == DatasetKind.REGRESSION:
+            picked = pick_rows(train, rows, [seed, ROW_STREAM], stratified)
+            if not classes:
                 target_variance(train.targets[picked])
             for methods in by_rate.values():
                 names = tuple(f"{m}_n{tag}_s{seed}" for m in methods)
                 plan.append((tuple(methods), names, seed, rows, stratified))
-    return plan
+    return loss, plan
 
 
 def _run_group(config: ExperimentConfig, loss: LossKind, group: tuple) -> None:
@@ -411,7 +399,7 @@ def _run_group(config: ExperimentConfig, loss: LossKind, group: tuple) -> None:
     methods, names, seed, rows, stratified = group
     out_dir = Path(config.output_dir)
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
-    train = subsample(train_full, rows, [seed, 101], stratified)
+    train = subsample(train_full, rows, [seed, ROW_STREAM], stratified)
 
     network = Network.init(
         list(config.layer_sizes),
@@ -420,7 +408,10 @@ def _run_group(config: ExperimentConfig, loss: LossKind, group: tuple) -> None:
         config.regularized_layer_index,
     )
     p, d = network.regularized_weight.shape
-    lams, decays, rates = zip(*(_method_knobs(config, m, p, d) for m in methods))
+    lam = config.lam if config.lam is not None else 1.0 / (2.0 * p * d)
+    lams = [lam if m.startswith("adareg") else 0.0 for m in methods]
+    decays = [config.weight_decay if "weight_decay" in m else 0.0 for m in methods]
+    rate = config.dropout_rate if "dropout" in methods[0] else 0.0  # one per group
     bounds = SpectralBounds.from_v(config.bounds_v)
 
     started = time.perf_counter()
@@ -434,7 +425,7 @@ def _run_group(config: ExperimentConfig, loss: LossKind, group: tuple) -> None:
             seed,
             test_dataset=test,
             weight_decay=decays,
-            dropout_rate=rates[0],
+            dropout_rate=rate,
         )
     except Diverged as e:
         raise Diverged(f"{names[e.cell or 0]}: {e.reason}") from None
@@ -558,10 +549,8 @@ def run_experiment(
 
     Returns 0 on success; raises AdaRegError subclasses on config, data, or
     divergence problems (the command-line wrapper turns those into non-zero
-    exits).  Both splits are loaded and checked against the architecture and
-    every training size, one network is allocated (a MemoryError for sizes
-    the machine cannot hold), and the plan is fixed, before anything is
-    written.
+    exits).  Both splits are loaded, and ``_plan`` makes every check on them
+    in one pass and fixes the plan, before anything is written.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -571,9 +560,7 @@ def run_experiment(
         config = replace(config, output_dir=str(Path(output_override)))
     _load_base_cached.cache_clear()  # ADAREG_DATA_DIR or the files may have changed
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
-    loss = _loss_kind(config, train_full, test)
-    Network.init(list(config.layer_sizes), loss, 0)
-    plan = _plan(config, train_full)
+    loss, plan = _plan(config, train_full, test)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "resolved_config.json", config.to_dict())
@@ -612,7 +599,7 @@ def _read_summary(path: Path) -> dict:
     """One cell summary, with every key ``summarize`` reads type-checked."""
     try:
         s = json.loads(path.read_text())
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # also not UTF-8, or too deep
         raise SchemaMismatch(f"{path}: not valid JSON: {e}") from None
     if not isinstance(s, dict) or s.get("schema") != SUMMARY_SCHEMA:
         raise SchemaMismatch(f"{path}: not an {SUMMARY_SCHEMA!r} summary")

@@ -206,10 +206,12 @@ def _read_idx_file(path, magic: int, size_names, what: str):
 
 
 def read_idx(images_path, labels_path) -> IdxSplit:
-    """An IDX image/label file pair as stored: (n, rows*cols) pixel bytes."""
+    """An IDX image/label file pair as stored: (n, rows*cols) pixel bytes, n >= 1."""
     (count, rows, cols), pixels = _read_idx_file(
         images_path, IMAGES_MAGIC, ("item count", "row count", "column count"), "pixel"
     )
+    if count == 0:
+        raise DataError(f"{images_path}: holds no images")
     (label_count,), labels = _read_idx_file(
         labels_path, LABELS_MAGIC, ("item count",), "label"
     )
@@ -272,17 +274,21 @@ def load_csv_regression(path, num_targets: int) -> Dataset:
 
     A single header row is auto-detected (a first row in which no cell reads
     as a number, ``nan`` and ``inf`` included) and skipped.  Rows of unequal
-    width raise RaggedRows; bad cells raise ParseError with their location.
+    width raise RaggedRows; bad cells raise ParseError with their location,
+    and so does a file that is not UTF-8 or has a field over ``csv``'s limit.
     """
     path = Path(path)
     if num_targets < 1:
         raise ValueError("num_targets must be >= 1")
-    with _open(path, "r", newline="") as f:
-        rows = [
-            (i, [cell.strip() for cell in row])
-            for i, row in enumerate(csv.reader(f))
-            if row and any(cell.strip() for cell in row)
-        ]
+    with _open(path, "r", newline="", encoding="utf-8") as f:
+        try:
+            rows = [
+                (i, [cell.strip() for cell in row])
+                for i, row in enumerate(csv.reader(f))
+                if row and any(cell.strip() for cell in row)
+            ]
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ParseError(f"{path}: not a readable CSV file: {e}") from None
     if not rows:
         raise ParseError(f"{path}: file holds no data rows")
     if all(_float(cell) is None for cell in rows[0][1]):  # a header row

@@ -69,7 +69,7 @@ class CountMismatch(DataError):
 
 
 class ParseError(DataError):
-    """A CSV cell failed to parse; the message carries row/column location."""
+    """A CSV file or cell failed to parse; the message names where."""
 
 
 class RaggedRows(DataError):

@@ -4,6 +4,7 @@ correlation export, and byte-level determinism."""
 import concurrent.futures
 import json
 import os
+import struct
 import time
 import tracemalloc
 from dataclasses import fields
@@ -1265,6 +1266,71 @@ class TestOutputErrors:
             summarize(out)
         assert (out / "summary.csv").read_bytes() == before
         assert not (out / ".summary.csv.tmp").exists()
+
+
+
+def _unreadable_input(case, tmp_path, out):
+    """Writes one input that no reader can parse; returns the ``main`` argv
+    that reads it."""
+    if case.startswith("config"):
+        p = tmp_path / "cfg.json"
+        if case == "config_not_utf8":
+            p.write_bytes(b'\xff\xfe{"a": 1}')
+        else:
+            p.write_text("[" * 100_000)
+        return ["validate", str(p)]
+    if case == "summary_too_deep":
+        out.mkdir()
+        (out / "none_n32_s0_summary.json").write_text("[" * 100_000)
+        return ["summarize", str(out)]
+    if case.startswith("csv"):
+        bad = b"\xff,2,3,4,5" if case == "csv_not_utf8" else b"0" * 200_000
+        (tmp_path / "train.csv").write_bytes(b"x0,x1,x2,y0,y1\n1,2,3,4,5\n" + bad)
+        (tmp_path / "test.csv").write_text("1,2,3,4,5\n2,3,4,5,6\n")
+        cfg = _synth_config(out, architecture={"layer_sizes": [3, 5, 2]})
+        cfg["dataset"] = {
+            "kind": "csv_regression",
+            "train_path": str(tmp_path / "train.csv"),
+            "test_path": str(tmp_path / "test.csv"),
+            "num_targets": 2,
+        }
+    else:
+        cfg = _idx_config(tmp_path, out)
+        split = "tr" if case == "idx_train_empty" else "te"
+        (tmp_path / f"{split}-img").write_bytes(struct.pack(">IIII", 2051, 0, 28, 28))
+        (tmp_path / f"{split}-lab").write_bytes(struct.pack(">II", 2049, 0))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return ["run", str(p)]
+
+
+# Each unreadable input, with a part of the one error line it gives.
+UNREADABLE_INPUTS = {
+    "config_not_utf8": "config is not valid JSON: ",
+    "config_too_deep": "config is not valid JSON: ",
+    "summary_too_deep": "none_n32_s0_summary.json: not valid JSON: ",
+    "csv_not_utf8": "train.csv: not a readable CSV file: ",
+    "csv_oversized_field": "train.csv: not a readable CSV file: ",
+    "idx_train_empty": "tr-img: holds no images",
+    "idx_test_empty": "te-img: holds no images",
+}
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize(
+        "case, message", UNREADABLE_INPUTS.items(), ids=list(UNREADABLE_INPUTS)
+    )
+    def test_is_one_error_line_and_writes_nothing(
+        self, tmp_path, capsys, case, message
+    ):
+        out = tmp_path / "runs"
+        argv = _unreadable_input(case, tmp_path, out)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+        if argv[0] == "run":
+            assert not out.exists()
 
 
 def _key_paths(node, path=()):
