@@ -38,7 +38,6 @@ from .data import (
     MAX_FLOAT64S,
     SyntheticMultitaskSpec,
     load_csv_regression,
-    load_idx,
     pick_rows,
     read_idx,
     standardize_inputs,
@@ -290,12 +289,13 @@ def _is_number(val) -> bool:
 
 def _distinct(values: list, key: str) -> tuple:
     """``values`` as a tuple; ConfigError naming ``key`` if it is empty or an
-    entry repeats."""
+    entry repeats.  A repeat is named by its two positions, not its value,
+    which may be of any size."""
     if not values:
         raise ConfigError(f"{key} must not be empty")
     for i, val in enumerate(values):
         if val in values[:i]:
-            raise ConfigError(f"{key} lists {val!r} more than once")
+            raise ConfigError(f"{key}: entries {values.index(val)} and {i} are equal")
     return tuple(values)
 
 
@@ -324,13 +324,15 @@ def _synthetic_spec(dataset: dict) -> SyntheticMultitaskSpec:
 
 
 @lru_cache(maxsize=1)
-def _load_base_cached(dataset_json: str) -> tuple[Dataset | IdxSplit, Dataset]:
-    """One run's training and test splits; an IDX training split stays as bytes."""
+def _load_base_cached(
+    dataset_json: str,
+) -> tuple[Dataset | IdxSplit, Dataset | IdxSplit]:
+    """One run's training and test splits; both IDX splits stay as bytes."""
     spec = json.loads(dataset_json)
     kind = spec["kind"]
     if kind == "mnist_idx":
         paths = [_resolve_path(spec[key]) for key in IDX_KEYS]
-        return read_idx(*paths[:2]), load_idx(*paths[2:])
+        return read_idx(*paths[:2]), read_idx(*paths[2:])
     if kind == "csv_regression":
         num_targets = spec["num_targets"]
         train = load_csv_regression(_resolve_path(spec["train_path"]), num_targets)
@@ -358,7 +360,7 @@ def _check_dims(layer_sizes, input_dim, target_columns, num_classes=None) -> Non
 
 
 def _plan(
-    config: ExperimentConfig, train: Dataset | IdxSplit, test: Dataset
+    config: ExperimentConfig, train: Dataset | IdxSplit, test: Dataset | IdxSplit
 ) -> tuple[LossKind, list[tuple]]:
     """The one pass of checks on the loaded splits before a run writes.
     Returns their loss and the sweep's groups in run order, each ``(methods,
@@ -477,8 +479,8 @@ def _write_summary_json(
     path: Path,
     method: str,
     seed: int,
-    train: Dataset,
-    test: Dataset,
+    train: Dataset | IdxSplit,
+    test: Dataset | IdxSplit,
     state,
     log: MetricLog,
 ) -> None:

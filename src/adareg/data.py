@@ -5,6 +5,12 @@ and 2049 for labels), numeric CSV regression tables whose trailing columns
 are the targets, and a synthetic correlated multitask generator standing in
 for robot-arm style regression (21 inputs, 7 related tasks by default).
 Every routine is deterministic for fixed inputs and seeds.
+
+A split hands out float64 rows through one reader, ``rows(idx)``.  A
+``Dataset`` stores float64 inputs and returns ``inputs[idx]``; an
+``IdxSplit`` keeps its IDX pixel bytes, and its subsamples keep them too,
+so each read converts only the rows it picks, with the bits ``load_idx``
+gives.  ``batches`` and the optimizer's ``predict`` read rows only through it.
 """
 
 from __future__ import annotations
@@ -114,6 +120,11 @@ class Dataset:
     def take(self, idx) -> Dataset:
         return Dataset(self.inputs[idx], self.targets[idx], self.kind)
 
+    def rows(self, idx) -> np.ndarray:
+        """The float64 inputs of ``idx``: a view for a slice, a copy for an
+        index array."""
+        return self.inputs[idx]
+
     def as_batch(self) -> Batch:
         return Batch(self.inputs, self.targets)
 
@@ -121,7 +132,8 @@ class Dataset:
 @dataclass(frozen=True)
 class IdxSplit:
     """A classification split kept as its IDX pixel bytes, one byte per
-    pixel instead of eight; ``take`` scales only the rows it picks."""
+    pixel instead of eight; ``take`` keeps the bytes of the rows it picks,
+    and ``rows`` scales only the rows it reads."""
 
     pixels: np.ndarray  # (n, rows*cols) uint8
     targets: np.ndarray  # int labels (n,)
@@ -137,9 +149,13 @@ class IdxSplit:
 
     num_classes = Dataset.num_classes
 
-    def take(self, idx) -> Dataset:
-        inputs = self.pixels[idx].astype(float) / 255.0
-        return Dataset(inputs, self.targets[idx], self.kind)
+    def take(self, idx) -> IdxSplit:
+        return IdxSplit(self.pixels[idx], self.targets[idx])
+
+    def rows(self, idx) -> np.ndarray:
+        """The rows of ``idx`` scaled to [0, 1] as a new float64 array, with
+        the bits of ``pixels[idx].astype(float) / 255.0``."""
+        return np.divide(self.pixels[idx], 255.0, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -224,9 +240,10 @@ def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair into a classification dataset.
 
     Pixels are scaled from bytes to [0, 1] and images flattened row-major
-    to (n, rows*cols).
+    to (n, rows*cols).  A run keeps the split as ``read_idx`` gives it.
     """
-    return read_idx(images_path, labels_path).take(slice(None))
+    split = read_idx(images_path, labels_path)
+    return Dataset(split.rows(slice(None)), split.targets, split.kind)
 
 
 def write_idx(ds: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
@@ -376,8 +393,9 @@ def pick_rows(
 
 def subsample(
     ds: Dataset | IdxSplit, size: int, seed, stratified: bool = False
-) -> Dataset:
-    """Seeded subsample of ``size`` examples, keeping input/target pairing.
+) -> Dataset | IdxSplit:
+    """Seeded subsample of ``size`` examples, keeping input/target pairing
+    and the split's type.
 
     With ``stratified`` on a classification dataset, per-class counts differ
     by at most one (classes in ascending label order receive the remainder).
@@ -385,8 +403,9 @@ def subsample(
     return ds.take(pick_rows(ds, size, seed, stratified))
 
 
-def batches(ds: Dataset, batch_size: int, seed):
-    """Yield one epoch of minibatches after a seeded shuffle.
+def batches(ds: Dataset | IdxSplit, batch_size: int, seed):
+    """Yield one epoch of minibatches after a seeded shuffle; each batch's
+    inputs are one ``ds.rows`` read.
 
     The final short batch is included, so the union of all yielded batches
     is exactly the dataset.  Each call shuffles afresh from its seed;
@@ -397,7 +416,7 @@ def batches(ds: Dataset, batch_size: int, seed):
     perm = np.random.default_rng(seed).permutation(ds.n)
     for lo in range(0, ds.n, batch_size):
         take = perm[lo : lo + batch_size]
-        yield Batch(ds.inputs[take], ds.targets[take])
+        yield Batch(ds.rows(take), ds.targets[take])
 
 
 def standardize_inputs(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:

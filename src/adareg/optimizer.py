@@ -15,10 +15,14 @@ with weight decay 2*lambda.
 
 Each evaluation runs the network once: ``evaluate`` and ``full_objective``
 take the outputs of one ``predict`` and score them with one mean over all
-rows.  ``predict`` runs its forward passes on EVAL_CHUNK rows at a time, so
-that the copy of each chunk's inputs that BLAS packs for a product stays
-small (about 3 MB for 784-wide rows) and in cache; no mean is taken per
-chunk.
+rows.  ``predict`` reads its rows through the split's ``rows`` reader and
+runs its forward passes on EVAL_CHUNK rows at a time, so that each chunk's
+float64 rows (about 6 MB for 784-wide rows, converted here for an IDX
+split) and the copy that BLAS packs for a product stay small and in cache;
+no mean is taken per chunk.  ``evaluate`` and ``predict`` also take a
+stacked network: each chunk is then read once for the whole group and runs
+one stacked ``forward``, and every cell is scored on its own outputs with
+the bits of its own call.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from . import net as net_mod
-from .data import Dataset, DatasetKind, batches
+from .data import Dataset, DatasetKind, IdxSplit, batches
 from .diagnostics import explained_variance
 from .errors import Diverged
 from .net import Network, loss_from_outputs, squared_error
@@ -116,18 +120,28 @@ class MetricLog:
     records: list[EpochRecord] = field(default_factory=list)
 
 
-def full_objective(state: AdaRegState, dataset: Dataset) -> float:
+def full_objective(state: AdaRegState, dataset: Dataset | IdxSplit) -> float:
     """Dataset loss plus the prior penalty on the regularized weight."""
     loss = loss_from_outputs(state.net, predict(state.net, dataset), dataset.targets)
     return loss + regularizer_value(state.net.regularized_weight, state.precisions, state.lam)
 
 
-def evaluate(network: Network, dataset: Dataset) -> tuple[float, float]:
+def evaluate(network: Network, dataset: Dataset | IdxSplit):
     """(mean loss, headline metric) from one ``predict`` over the dataset:
     argmax accuracy for classification, mean explained variance across
     tasks for regression.  Regression scores both from one squared
-    residual, against the dataset's cached target variance."""
+    residual, against the dataset's cached target variance.
+
+    A stacked network gives a list of one (loss, metric) per cell, each
+    equal bit for bit to that cell's own call."""
     outputs = predict(network, dataset)
+    if network.cells is None:
+        return _score(network, outputs, dataset)
+    return [_score(network, cell_outputs, dataset) for cell_outputs in outputs]
+
+
+def _score(network: Network, outputs: np.ndarray, dataset) -> tuple[float, float]:
+    """(mean loss, headline metric) of one cell's (rows, out) outputs."""
     if dataset.kind == DatasetKind.CLASSIFICATION:
         loss = loss_from_outputs(network, outputs, dataset.targets)
         return loss, float(np.mean(outputs.argmax(axis=1) == dataset.targets))
@@ -135,19 +149,21 @@ def evaluate(network: Network, dataset: Dataset) -> tuple[float, float]:
     return loss, float(np.mean(explained_variance(squared, dataset.target_variance)))
 
 
-def predict(network: Network, dataset: Dataset) -> np.ndarray:
-    """Network outputs for every row, computed in EVAL_CHUNK-row chunks.
+def predict(network: Network, dataset: Dataset | IdxSplit) -> np.ndarray:
+    """Network outputs for every row, computed in EVAL_CHUNK-row chunks;
+    (cells, rows, out) for a stacked network.
 
-    Each chunk's forward cache is dropped as soon as its outputs are taken,
-    and callers reduce the whole output array at once.  Where the chunk
-    boundaries fall can move the last bits of some outputs, never training's.
-    A single chunk's outputs are returned as they are, without a copy.
+    Each chunk's rows are read once and its forward cache is dropped as
+    soon as its outputs are taken, and callers reduce the whole output array
+    at once.  Where the chunk boundaries fall can move the last bits of some
+    outputs, never training's.  A single chunk's outputs are returned as
+    they are, without a copy.
     """
     chunks = [
-        net_mod.forward(network, dataset.inputs[lo : lo + EVAL_CHUNK])[0]
+        net_mod.forward(network, dataset.rows(slice(lo, lo + EVAL_CHUNK)))[0]
         for lo in range(0, dataset.n, EVAL_CHUNK)
     ]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=-2)
 
 
 def update_precisions(state: AdaRegState) -> AdaRegState:
@@ -178,7 +194,7 @@ def update_precisions(state: AdaRegState) -> AdaRegState:
 def train_block(
     state,
     schedule: BcdSchedule,
-    dataset: Dataset,
+    dataset: Dataset | IdxSplit,
     seed,
     weight_decay=0.0,
     dropout_rate: float = 0.0,
@@ -232,11 +248,11 @@ def _derived_seed(seed, outer_iter: int, epoch: int, stream: int):
 def run_adareg(
     network: Network,
     schedule: BcdSchedule,
-    dataset: Dataset,
+    dataset: Dataset | IdxSplit,
     bounds: SpectralBounds,
     lam,
     seed,
-    test_dataset: Dataset | None = None,
+    test_dataset: Dataset | IdxSplit | None = None,
     weight_decay=0.0,
     dropout_rate: float = 0.0,
 ):
@@ -246,7 +262,8 @@ def run_adareg(
     Per-epoch logging records train/test loss and metric plus the full
     training objective (loss with the prior penalty, evaluated against the
     precisions the block trained under); test columns repeat the train
-    values when no test set is given.
+    values when no test set is given.  A group's cells are evaluated
+    together, one stacked ``evaluate`` per split and epoch.
 
     With ``lam`` a sequence, one entry per cell (and ``weight_decay`` a
     float or one per cell), the cells train from ``network`` as one group
@@ -260,16 +277,17 @@ def run_adareg(
     logs = tuple(MetricLog() for _ in lams)
 
     def record(states, current, _epoch: int) -> None:
+        stack = Network.stack(current)
+        train = evaluate(stack, dataset)
+        test = train if test_dataset is None else evaluate(stack, test_dataset)
+        if stack.cells is None:
+            train, test = [train], [test]
         for c, (cell_net, state, log) in enumerate(zip(current, states, logs)):
             epoch = len(log.records)
-            train_loss, train_metric = evaluate(cell_net, dataset)
+            (train_loss, train_metric), (test_loss, test_metric) = train[c], test[c]
             objective = train_loss + regularizer_value(
                 cell_net.regularized_weight, state.precisions, state.lam
             )
-            if test_dataset is not None:
-                test_loss, test_metric = evaluate(cell_net, test_dataset)
-            else:
-                test_loss, test_metric = train_loss, train_metric
             if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
                 raise Diverged(
                     f"loss became non-finite at epoch {epoch}",

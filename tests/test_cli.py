@@ -885,12 +885,12 @@ class TestSingleInputLayer:
 
 
 class TestIdxTrainingSplit:
-    """The IDX training split is cached as pixel bytes; each cell scales only
-    the rows it trains on, to the same bits ``load_idx`` gives."""
+    """The IDX training split is cached as pixel bytes, and each cell's rows
+    stay bytes; its row reader gives the bits ``load_idx`` gives."""
 
     @pytest.fixture
     def cell_train_sets(self, monkeypatch):
-        """The training Dataset each cell passes to run_adareg."""
+        """The training split each cell passes to run_adareg."""
         seen = []
         original = cli.run_adareg
 
@@ -917,8 +917,9 @@ class TestIdxTrainingSplit:
                 want = subsample(full, full.n, [seed, 101])
             else:
                 want = subsample(full, size, [seed, 101], stratified=True)
-            assert got.inputs.dtype == want.inputs.dtype == np.float64
-            assert got.inputs.tobytes() == want.inputs.tobytes()
+            got_rows, want_rows = got.rows(slice(None)), want.rows(slice(None))
+            assert got_rows.dtype == want_rows.dtype == np.float64
+            assert got_rows.tobytes() == want_rows.tobytes()
             np.testing.assert_array_equal(got.targets, want.targets)
             assert got.targets.dtype == want.targets.dtype
 
@@ -1219,6 +1220,15 @@ class TestDistinctEntries:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and key in err
         assert not out.exists()
+
+    def test_repeated_deep_entry_is_one_short_line(self, tmp_path, capsys):
+        """The line names the key and both positions, not the value."""
+        cfg = json.dumps(_synth_config(tmp_path / "runs", methods=["DEEP", "DEEP"]))
+        p = tmp_path / "cfg.json"
+        p.write_text(cfg.replace('"DEEP"', "[" * 900 + "]" * 900))
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: methods: entries 0 and 1 are equal\n"
 
     @pytest.mark.parametrize("seeds", ["0,0", "0,,1", "1,", ""])
     def test_bad_seed_override_writes_nothing(self, tmp_path, capsys, seeds):

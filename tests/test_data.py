@@ -11,11 +11,13 @@ import pytest
 from adareg.data import (
     Dataset,
     DatasetKind,
+    IdxSplit,
     SyntheticMultitaskSpec,
     batches,
     load_csv_regression,
     load_idx,
     pick_rows,
+    read_idx,
     standardize_inputs,
     subsample,
     synth_multitask,
@@ -128,6 +130,24 @@ class TestLoadIdx:
         back = load_idx(img, lab)
         np.testing.assert_array_equal(back.inputs, ds.inputs)
         np.testing.assert_array_equal(back.targets, ds.targets)
+
+    def test_byte_split_reads_the_bits_of_load_idx(self, tmp_path):
+        """Every byte value, read through ``rows`` from the split, a
+        subsample of it and a batch, has the bits ``load_idx`` gives."""
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        _write_images(img, 16, 4, 4, range(256))
+        _write_labels(lab, list(range(10)) + list(range(6)))
+        split, floats = read_idx(img, lab), load_idx(img, lab)
+        assert split.pixels.dtype == np.uint8
+        assert split.rows(slice(None)).tobytes() == floats.inputs.tobytes()
+        assert split.rows(slice(None)).tobytes() == (np.arange(256) / 255.0).tobytes()
+        part = subsample(split, 7, seed=1)
+        assert isinstance(part, IdxSplit) and part.pixels.dtype == np.uint8
+        want = subsample(floats, 7, seed=1)
+        assert part.rows(slice(None)).tobytes() == want.rows(slice(None)).tobytes()
+        np.testing.assert_array_equal(part.targets, want.targets)
+        for got, expected in zip(batches(part, 3, seed=2), batches(want, 3, seed=2)):
+            assert got.inputs.tobytes() == expected.inputs.tobytes()
 
     @pytest.mark.parametrize("bad", ["images", "labels"])
     @pytest.mark.parametrize(

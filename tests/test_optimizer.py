@@ -6,13 +6,15 @@ determinism, and finite-difference checks of the full objective's gradient.
 """
 
 import sys
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from adareg import data as data_mod
 from adareg import net as net_mod
-from adareg.data import Dataset, DatasetKind
+from adareg.data import Dataset, DatasetKind, IdxSplit, load_idx, read_idx, write_idx
 from adareg.errors import Diverged, ZeroVariance
 from adareg.net import (
     Activation,
@@ -280,6 +282,17 @@ class TestOneForwardPassPerEvaluation:
         loss, _ = self._one_mean_oracle(network, dataset)
         penalty = regularizer_value(network.regularized_weight, state.precisions, 0.05)
         assert got == loss + penalty
+
+    @pytest.mark.parametrize("kind", [DatasetKind.CLASSIFICATION, DatasetKind.REGRESSION])
+    def test_stacked_evaluate_equals_each_cells_own(self, forward_calls, kind):
+        dataset, network = self._fixture(kind)
+        sizes = [network.layers[0].in_dim] + [layer.out_dim for layer in network.layers]
+        cells = [network] + [Network.init(sizes, network.loss, seed=s) for s in (11, 12)]
+        got = evaluate(Network.stack(cells), dataset)
+        assert forward_calls == [EVAL_CHUNK, EVAL_CHUNK, 5]  # one pass for the group
+        want = [evaluate(cell, dataset) for cell in cells]
+        assert len(got) == len(cells)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestTrainBlock:
@@ -555,6 +568,65 @@ class TestGroupTraining:
                        weight_decay=[0.0, 1e100, 0.0])
         assert caught.value.cell == 1
         assert str(caught.value).startswith("cell 1: ")
+
+
+class TestIdxSplitTraining:
+    """A group trains on an IDX subsample kept as pixel bytes, converting rows
+    per batch and per evaluation chunk, with the bits it gets from the same
+    rows loaded as float64 by ``load_idx``."""
+
+    N_TRAIN, N_TEST, PIXELS = 2 * EVAL_CHUNK + 1, EVAL_CHUNK + 1, 784
+
+    @pytest.fixture(scope="class")
+    def idx_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("idx")
+        rng = np.random.default_rng(60)
+        paths = {}
+        for name, n in (("train", self.N_TRAIN), ("test", self.N_TEST)):
+            pixels = rng.integers(0, 256, size=(n, self.PIXELS))
+            ds = Dataset(pixels / 255.0, rng.integers(0, 10, size=n), DatasetKind.CLASSIFICATION)
+            paths[name] = (root / f"{name}-img", root / f"{name}-lab")
+            write_idx(ds, *paths[name], 28, 28)
+        return paths
+
+    @staticmethod
+    def _records_bytes(log) -> bytes:
+        return np.array([astuple(r) for r in log.records], dtype=float).tobytes()
+
+    @pytest.mark.parametrize(
+        "rows", [EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1, 2 * EVAL_CHUNK + 1]
+    )
+    def test_group_on_bytes_equals_group_on_floats(self, idx_files, rows):
+        test_bytes, test_floats = read_idx(*idx_files["test"]), load_idx(*idx_files["test"])
+        train_bytes = data_mod.subsample(read_idx(*idx_files["train"]), rows, [0, 101])
+        train_floats = data_mod.subsample(load_idx(*idx_files["train"]), rows, [0, 101])
+        assert isinstance(train_bytes, IdxSplit) and train_bytes.n == rows
+        net = Network.init([self.PIXELS, 16, 10], LossKind.SOFTMAX_CROSS_ENTROPY, seed=61)
+        sched = BcdSchedule(2, 1, 256, 0.3)
+        knobs = dict(lam=[0.0, 0.0, 1e-3], seed=62, weight_decay=[0.0, 1e-3, 0.0])
+        got = run_adareg(net, sched, train_bytes, B10, test_dataset=test_bytes, **knobs)
+        want = run_adareg(net, sched, train_floats, B10, test_dataset=test_floats, **knobs)
+        for (got_state, got_log), (want_state, want_log) in zip(got, want):
+            assert len(got_log.records) == 2
+            assert self._records_bytes(got_log) == self._records_bytes(want_log)
+            for g, w in zip(got_state.net.layers, want_state.net.layers):
+                assert g.weight.tobytes() == w.weight.tobytes()
+                assert g.bias.tobytes() == w.bias.tobytes()
+
+    def test_training_holds_no_float_copy_of_its_rows(self, idx_files):
+        split, test = read_idx(*idx_files["train"]), read_idx(*idx_files["test"])
+        net = Network.init([self.PIXELS, 16, 10], LossKind.SOFTMAX_CROSS_ENTROPY, seed=63)
+        tracemalloc.start()
+        try:
+            train = data_mod.subsample(split, self.N_TRAIN, [0, 101])
+            run_adareg(
+                net, BcdSchedule(1, 1, 256, 0.3), train, B10, [0.0, 1e-3], 64,
+                test_dataset=test,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.N_TRAIN * self.PIXELS * 8
 
 
 def _net342(seed=50):
