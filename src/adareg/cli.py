@@ -175,7 +175,10 @@ class ExperimentConfig:
         dataset = need("dataset", dict)
         kind = need("kind", str, dataset, "dataset")
         if kind not in DATASET_KEYS:
-            raise ConfigError(f"unknown dataset kind {kind!r}")
+            raise ConfigError(
+                "dataset['kind']: unknown dataset kind; "
+                f"choose from {', '.join(DATASET_KEYS)}"
+            )
         need_each({"kind": (str, MISSING), **DATASET_KEYS[kind]}, dataset, "dataset")
         if kind == "csv_regression" and dataset["num_targets"] < 1:
             raise ConfigError("dataset['num_targets'] must be >= 1")
@@ -197,10 +200,10 @@ class ExperimentConfig:
             _check_dims(sizes, None, dataset["num_targets"])
 
         methods = _distinct(need("methods", list), "methods")
-        for m in methods:
+        for i, m in enumerate(methods):
             if m not in METHODS:
                 raise ConfigError(
-                    f"unknown method {m!r}; choose from {', '.join(METHODS)}"
+                    f"methods[{i}]: unknown method; choose from {', '.join(METHODS)}"
                 )
 
         sched_raw = need("schedule", dict)

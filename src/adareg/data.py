@@ -7,10 +7,11 @@ for robot-arm style regression (21 inputs, 7 related tasks by default).
 Every routine is deterministic for fixed inputs and seeds.
 
 A split hands out float64 rows through one reader, ``rows(idx)``.  A
-``Dataset`` stores float64 inputs and returns ``inputs[idx]``; an
-``IdxSplit`` keeps its IDX pixel bytes, and its subsamples keep them too,
-so each read converts only the rows it picks, with the bits ``load_idx``
-gives.  ``batches`` and the optimizer's ``predict`` read rows only through it.
+``Dataset`` stores float64 inputs and returns ``inputs[idx]``, and its
+subsamples copy their rows.  An ``IdxSplit`` keeps its file's pixel bytes;
+its subsamples share them and hold only row indices, so each read converts
+only the rows it picks, with the bits ``load_idx`` gives.  ``batches`` and
+the optimizer's ``predict`` read rows only through it.
 """
 
 from __future__ import annotations
@@ -131,17 +132,20 @@ class Dataset:
 
 @dataclass(frozen=True)
 class IdxSplit:
-    """A classification split kept as its IDX pixel bytes, one byte per
-    pixel instead of eight; ``take`` keeps the bytes of the rows it picks,
-    and ``rows`` scales only the rows it reads."""
+    """A classification split kept as its IDX file's pixel bytes, one byte
+    per pixel instead of eight, and ``index``, its rows of ``pixels``.
+    ``take`` keeps the file's ``pixels`` and picks from ``index``, so a
+    subsample (of a subsample too) costs 8 bytes per row, not
+    ``input_dim``; ``rows`` gathers and scales only the rows it reads."""
 
-    pixels: np.ndarray  # (n, rows*cols) uint8
+    pixels: np.ndarray  # (images in the file, rows*cols) uint8
     targets: np.ndarray  # int labels (n,)
+    index: np.ndarray  # int (n,): the split's rows of ``pixels``
     kind = DatasetKind.CLASSIFICATION
 
     @property
     def n(self) -> int:
-        return self.pixels.shape[0]
+        return self.targets.shape[0]
 
     @property
     def input_dim(self) -> int:
@@ -150,12 +154,12 @@ class IdxSplit:
     num_classes = Dataset.num_classes
 
     def take(self, idx) -> IdxSplit:
-        return IdxSplit(self.pixels[idx], self.targets[idx])
+        return IdxSplit(self.pixels, self.targets[idx], self.index[idx])
 
     def rows(self, idx) -> np.ndarray:
         """The rows of ``idx`` scaled to [0, 1] as a new float64 array, with
-        the bits of ``pixels[idx].astype(float) / 255.0``."""
-        return np.divide(self.pixels[idx], 255.0, dtype=float)
+        the bits of ``pixels[index[idx]].astype(float) / 255.0``."""
+        return np.divide(self.pixels[self.index[idx]], 255.0, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,8 @@ def read_idx(images_path, labels_path) -> IdxSplit:
     )
     if label_count != count:
         raise CountMismatch(f"{count} images but {label_count} labels")
-    return IdxSplit(pixels.reshape(count, rows * cols), labels.astype(int))
+    pixels = pixels.reshape(count, rows * cols)
+    return IdxSplit(pixels, labels.astype(int), np.arange(count))
 
 
 def load_idx(images_path, labels_path) -> Dataset:

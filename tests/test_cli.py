@@ -5,6 +5,8 @@ import concurrent.futures
 import json
 import os
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import fields
@@ -29,7 +31,7 @@ from adareg.errors import (
     SchemaMismatch,
     SizeTooLarge,
 )
-from mnist_surrogate import make_dataset
+from mnist_surrogate import ensure_idx_files, make_dataset
 from adareg import cli
 from adareg import data as data_mod
 from adareg.data import (
@@ -43,6 +45,7 @@ from adareg.data import (
 from adareg.optimizer import BcdSchedule
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -392,6 +395,48 @@ class TestRunExperiment:
             if name == "resolved_config.json":
                 continue
             assert a[name] == b[name], f"{name} differs"
+
+    def test_idx_jobs_match_serial_in_fresh_processes(self, tmp_path):
+        """A surrogate IDX sweep, run by ``python -m adareg`` serially and on
+        two forked workers that share the parent's byte-backed splits, with
+        one BLAS thread each: both exit 0 and every cell artifact is equal."""
+        config = {
+            "dataset": {
+                "kind": "mnist_idx",
+                **ensure_idx_files(tmp_path, n_train=1000, n_test=300, seed=7),
+            },
+            "architecture": {"layer_sizes": [784, 16, 10]},
+            "methods": ["none", "adareg", "dropout"],
+            "dropout_rate": 0.1,
+            "schedule": {
+                "outer_loops": 2,
+                "epochs_per_block": 2,
+                "batch_size": 64,
+                "learning_rate": 0.1,
+            },
+            "training_sizes": [200, 600],
+            "seeds": [0, 1],
+        }
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(config))
+        path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        for name, jobs in (("serial", []), ("jobs", ["--jobs", "2"])):
+            argv = ["run", str(p), "--output", str(tmp_path / name), *jobs]
+            done = subprocess.run(
+                [sys.executable, "-m", "adareg", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, done.stderr
+        cells = 0
+        for pattern in ("*_metrics.csv", "*_summary.json", "*_weights.npz"):
+            for serial in sorted((tmp_path / "serial").glob(pattern)):
+                jobs = tmp_path / "jobs" / serial.name
+                assert serial.read_bytes() == jobs.read_bytes(), serial.name
+                cells += 1
+        assert cells == 36  # 3 methods x 2 training sizes x 2 seeds, 3 artifacts each
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -1230,6 +1275,32 @@ class TestDistinctEntries:
         err = capsys.readouterr().err
         assert err == "error: methods: entries 0 and 1 are equal\n"
 
+    @pytest.mark.parametrize(
+        "key, line",
+        [
+            (
+                ("methods", 1),
+                "error: methods[1]: unknown method; choose from none, "
+                "weight_decay, dropout, adareg, adareg+weight_decay, adareg+dropout\n",
+            ),
+            (
+                ("dataset", "kind"),
+                "error: dataset['kind']: unknown dataset kind; choose from "
+                "mnist_idx, csv_regression, synthetic_multitask\n",
+            ),
+        ],
+    )
+    def test_unknown_name_is_one_short_line(self, tmp_path, capsys, key, line):
+        """The line names the entry's position, not its value, which may be
+        a 900-deep list or a string of any length."""
+        cfg = _synth_config(tmp_path / "runs")
+        cfg[key[0]][key[1]] = "HUGE"
+        deep = "[" * 900 + "]" * 900 if key[0] == "methods" else '"' + "x" * 10**5 + '"'
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg).replace('"HUGE"', deep))
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == line
+
     @pytest.mark.parametrize("seeds", ["0,0", "0,,1", "1,", ""])
     def test_bad_seed_override_writes_nothing(self, tmp_path, capsys, seeds):
         out = tmp_path / "runs"
@@ -1413,10 +1484,15 @@ def idx_data_dir(tmp_path_factory):
 
 
 class TestValidateRunAgreement:
-    """``validate`` rejects a config exactly when a one-epoch ``run`` does."""
+    """``validate`` rejects a config exactly when a one-epoch ``run`` does,
+    and every ``error:`` line either prints is short (139 characters at most
+    when the bound was set)."""
 
-    @staticmethod
-    def _validate_and_run(base, path, value, tmp_path):
+    MAX_ERROR_LINE = 200
+
+    @classmethod
+    def _validate_and_run(cls, base, path, value, tmp_path, capsys):
+        """``validate`` and ``run``'s exit codes and their stderr."""
         cfg = json.loads(json.dumps(base))
         *parents, key = path
         node = cfg
@@ -1429,14 +1505,21 @@ class TestValidateRunAgreement:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         validated = main(["validate", str(p)])
-        return validated, main(["run", str(p), "--output", str(tmp_path / "runs")])
+        ran = main(["run", str(p), "--output", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        for line in err.splitlines():
+            if line.startswith("error: "):
+                assert len(line) <= cls.MAX_ERROR_LINE, line
+        return validated, ran, err
 
     @pytest.mark.parametrize(
         "path, value", AGREEMENT_CASES, ids=[_case_id(*c) for c in AGREEMENT_CASES]
     )
     def test_validate_and_run_agree(self, tmp_path, capsys, path, value):
-        validated, ran = self._validate_and_run(BASE_CONFIG, path, value, tmp_path)
-        assert validated == ran, capsys.readouterr().err
+        validated, ran, err = self._validate_and_run(
+            BASE_CONFIG, path, value, tmp_path, capsys
+        )
+        assert validated == ran, err
 
     @pytest.mark.parametrize(
         "path, value",
@@ -1447,8 +1530,10 @@ class TestValidateRunAgreement:
         self, tmp_path, capsys, monkeypatch, idx_data_dir, path, value
     ):
         monkeypatch.setenv("ADAREG_DATA_DIR", str(idx_data_dir))
-        validated, ran = self._validate_and_run(BASE_IDX_CONFIG, path, value, tmp_path)
-        assert validated == ran, capsys.readouterr().err
+        validated, ran, err = self._validate_and_run(
+            BASE_IDX_CONFIG, path, value, tmp_path, capsys
+        )
+        assert validated == ran, err
 
     @pytest.mark.parametrize(
         "path, value",
@@ -1459,7 +1544,9 @@ class TestValidateRunAgreement:
         self, tmp_path, capsys, monkeypatch, idx_data_dir, path, value
     ):
         monkeypatch.setenv("ADAREG_DATA_DIR", str(idx_data_dir))
-        validated, ran = self._validate_and_run(BASE_IDX_CONFIG, path, value, tmp_path)
+        validated, ran, err = self._validate_and_run(
+            BASE_IDX_CONFIG, path, value, tmp_path, capsys
+        )
         assert (validated, ran) == (0, 1)
-        assert capsys.readouterr().err.count("error: ") == 1
+        assert err.count("error: ") == 1
         assert not (tmp_path / "runs").exists()

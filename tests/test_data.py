@@ -3,6 +3,7 @@ minibatching."""
 
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,8 @@ class TestLoadIdx:
 
     def test_byte_split_reads_the_bits_of_load_idx(self, tmp_path):
         """Every byte value, read through ``rows`` from the split, a
-        subsample of it and a batch, has the bits ``load_idx`` gives."""
+        subsample of it, a subsample of that and a batch, has the bits
+        ``load_idx`` gives."""
         img, lab = tmp_path / "img", tmp_path / "lab"
         _write_images(img, 16, 4, 4, range(256))
         _write_labels(lab, list(range(10)) + list(range(6)))
@@ -141,13 +143,33 @@ class TestLoadIdx:
         assert split.pixels.dtype == np.uint8
         assert split.rows(slice(None)).tobytes() == floats.inputs.tobytes()
         assert split.rows(slice(None)).tobytes() == (np.arange(256) / 255.0).tobytes()
-        part = subsample(split, 7, seed=1)
-        assert isinstance(part, IdxSplit) and part.pixels.dtype == np.uint8
-        want = subsample(floats, 7, seed=1)
-        assert part.rows(slice(None)).tobytes() == want.rows(slice(None)).tobytes()
-        np.testing.assert_array_equal(part.targets, want.targets)
-        for got, expected in zip(batches(part, 3, seed=2), batches(want, 3, seed=2)):
-            assert got.inputs.tobytes() == expected.inputs.tobytes()
+        part, want = subsample(split, 7, seed=1), subsample(floats, 7, seed=1)
+        inner, inner_want = subsample(part, 5, seed=3), subsample(want, 5, seed=3)
+        for got, expected in ((part, want), (inner, inner_want)):
+            assert isinstance(got, IdxSplit) and got.pixels is split.pixels
+            assert got.rows(slice(None)).tobytes() == expected.rows(slice(None)).tobytes()
+            np.testing.assert_array_equal(got.targets, expected.targets)
+            for b, e in zip(batches(got, 3, seed=2), batches(expected, 3, seed=2)):
+                assert b.inputs.tobytes() == e.inputs.tobytes()
+                assert b.targets.tobytes() == e.targets.tobytes()
+
+    def test_idx_subsample_holds_indices_not_pixels(self, tmp_path):
+        """A subsample keeps the split's ``pixels`` and allocates less than
+        one byte per pixel of the rows it picks."""
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        n, size, dim = 1500, 1000, 28 * 28
+        rng = np.random.default_rng(4)
+        _write_images(img, n, 28, 28, rng.integers(0, 256, n * dim, dtype=np.uint8))
+        _write_labels(lab, rng.integers(0, 10, n, dtype=np.uint8))
+        split = read_idx(img, lab)
+        tracemalloc.start()
+        try:
+            part = subsample(split, size, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size * dim
+        assert part.pixels is split.pixels and part.n == size
 
     @pytest.mark.parametrize("bad", ["images", "labels"])
     @pytest.mark.parametrize(
