@@ -34,7 +34,6 @@ import numpy as np
 from .data import (
     Dataset,
     DatasetKind,
-    IdxSplit,
     MAX_FLOAT64S,
     SyntheticMultitaskSpec,
     load_csv_regression,
@@ -327,9 +326,7 @@ def _synthetic_spec(dataset: dict) -> SyntheticMultitaskSpec:
 
 
 @lru_cache(maxsize=1)
-def _load_base_cached(
-    dataset_json: str,
-) -> tuple[Dataset | IdxSplit, Dataset | IdxSplit]:
+def _load_base_cached(dataset_json: str) -> tuple[Dataset, Dataset]:
     """One run's training and test splits; both IDX splits stay as bytes."""
     spec = json.loads(dataset_json)
     kind = spec["kind"]
@@ -363,7 +360,7 @@ def _check_dims(layer_sizes, input_dim, target_columns, num_classes=None) -> Non
 
 
 def _plan(
-    config: ExperimentConfig, train: Dataset | IdxSplit, test: Dataset | IdxSplit
+    config: ExperimentConfig, train: Dataset, test: Dataset
 ) -> tuple[LossKind, list[tuple]]:
     """The one pass of checks on the loaded splits before a run writes.
     Returns their loss and the sweep's groups in run order, each ``(methods,
@@ -482,8 +479,8 @@ def _write_summary_json(
     path: Path,
     method: str,
     seed: int,
-    train: Dataset | IdxSplit,
-    test: Dataset | IdxSplit,
+    train: Dataset,
+    test: Dataset,
     state,
     log: MetricLog,
 ) -> None:

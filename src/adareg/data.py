@@ -7,11 +7,12 @@ for robot-arm style regression (21 inputs, 7 related tasks by default).
 Every routine is deterministic for fixed inputs and seeds.
 
 A split hands out float64 rows through one reader, ``rows(idx)``.  A
-``Dataset`` stores float64 inputs and returns ``inputs[idx]``, and its
-subsamples copy their rows.  An ``IdxSplit`` keeps its file's pixel bytes;
-its subsamples share them and hold only row indices, so each read converts
-only the rows it picks, with the bits ``load_idx`` gives.  ``batches`` and
-the optimizer's ``predict`` read rows only through it.
+``Dataset`` keeps its ``source``, float64 rows or an IDX file's pixel bytes,
+and ``index``, the split's rows of it (None for all, in order).  Its
+subsamples share the ``source`` and hold only row indices; a whole split
+reads slices.  Each read of bytes scales only the rows it picks, with the
+bits ``load_idx`` gives.  ``batches`` and the optimizer's ``predict`` read
+rows only through it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .net import Batch
 __all__ = [
     "DatasetKind",
     "Dataset",
-    "IdxSplit",
     "SyntheticMultitaskSpec",
     "read_idx",
     "load_idx",
@@ -66,20 +66,32 @@ class DatasetKind:
 
 @dataclass(frozen=True)
 class Dataset:
-    inputs: np.ndarray  # (n, d_in)
+    """A split: ``source``, float64 rows or an IDX file's pixel bytes (one
+    byte per pixel instead of eight), and ``index``, the split's rows of
+    ``source``, or None for all of them in order.  ``take`` keeps the
+    ``source`` and picks from ``index``, so a subsample (of a subsample too)
+    costs 8 bytes per row, not ``input_dim``; ``rows`` reads only the rows
+    it picks."""
+
+    source: np.ndarray  # (rows, d_in) float64, or uint8 pixel bytes
     targets: np.ndarray  # int labels (n,) or reals (n, d_out)
     kind: str
+    index: np.ndarray | None = None  # int (n,): the split's rows of ``source``
 
     def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=float)
+        x = np.asarray(self.source)
+        if x.dtype != np.uint8:
+            x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError(f"inputs must be (n, d) with n >= 1, got {x.shape}")
-        if not np.isfinite(x).all():
+        # A subsample shares the source its parent has checked; bytes are finite.
+        if self.index is None and x.dtype != np.uint8 and not np.isfinite(x).all():
             raise ValueError("inputs contain non-finite values")
+        n = x.shape[0] if self.index is None else len(self.index)
         if self.kind == DatasetKind.CLASSIFICATION:
             y = np.asarray(self.targets)
-            if y.shape != (x.shape[0],):
-                raise ValueError(f"labels must be ({x.shape[0]},), got {y.shape}")
+            if y.shape != (n,):
+                raise ValueError(f"labels must be ({n},), got {y.shape}")
             if not (y.dtype.kind in "iu" or (np.floor(y) == y).all()):
                 raise ValueError("class labels must be whole numbers")
             y = y.astype(int, copy=False)
@@ -89,18 +101,18 @@ class Dataset:
             y = np.asarray(self.targets, dtype=float)
             if y.ndim == 1:
                 y = y[:, None]
-            if y.shape[0] != x.shape[0]:
+            if y.shape[0] != n:
                 raise ValueError("inputs and targets disagree on n")
             if not np.isfinite(y).all():
                 raise ValueError("targets contain non-finite values")
         else:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        object.__setattr__(self, "inputs", x)
+        object.__setattr__(self, "source", x)
         object.__setattr__(self, "targets", y)
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self.targets.shape[0]
 
     @property
     def num_classes(self) -> int:
@@ -110,7 +122,12 @@ class Dataset:
 
     @property
     def input_dim(self) -> int:
-        return self.inputs.shape[1]
+        return self.source.shape[1]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """Every row of the split, as ``rows(slice(None))`` reads them."""
+        return self.rows(slice(None))
 
     @cached_property
     def target_variance(self) -> np.ndarray:
@@ -119,47 +136,18 @@ class Dataset:
         return target_variance(self.targets)
 
     def take(self, idx) -> Dataset:
-        return Dataset(self.inputs[idx], self.targets[idx], self.kind)
+        index = idx if self.index is None else self.index[idx]
+        return Dataset(self.source, self.targets[idx], self.kind, index)
 
     def rows(self, idx) -> np.ndarray:
-        """The float64 inputs of ``idx``: a view for a slice, a copy for an
-        index array."""
-        return self.inputs[idx]
+        """The float64 rows of ``idx``: a view for a slice of a whole float
+        split, else a new array.  Bytes are scaled to [0, 1] with the bits
+        of ``source[...].astype(float) / 255.0``."""
+        x = self.source[idx if self.index is None else self.index[idx]]
+        return x if x.dtype != np.uint8 else np.divide(x, 255.0, dtype=float)
 
     def as_batch(self) -> Batch:
         return Batch(self.inputs, self.targets)
-
-
-@dataclass(frozen=True)
-class IdxSplit:
-    """A classification split kept as its IDX file's pixel bytes, one byte
-    per pixel instead of eight, and ``index``, its rows of ``pixels``.
-    ``take`` keeps the file's ``pixels`` and picks from ``index``, so a
-    subsample (of a subsample too) costs 8 bytes per row, not
-    ``input_dim``; ``rows`` gathers and scales only the rows it reads."""
-
-    pixels: np.ndarray  # (images in the file, rows*cols) uint8
-    targets: np.ndarray  # int labels (n,)
-    index: np.ndarray  # int (n,): the split's rows of ``pixels``
-    kind = DatasetKind.CLASSIFICATION
-
-    @property
-    def n(self) -> int:
-        return self.targets.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.pixels.shape[1]
-
-    num_classes = Dataset.num_classes
-
-    def take(self, idx) -> IdxSplit:
-        return IdxSplit(self.pixels, self.targets[idx], self.index[idx])
-
-    def rows(self, idx) -> np.ndarray:
-        """The rows of ``idx`` scaled to [0, 1] as a new float64 array, with
-        the bits of ``pixels[index[idx]].astype(float) / 255.0``."""
-        return np.divide(self.pixels[self.index[idx]], 255.0, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -225,7 +213,7 @@ def _read_idx_file(path, magic: int, size_names, what: str):
     return sizes, np.frombuffer(payload[:expected], dtype=np.uint8)
 
 
-def read_idx(images_path, labels_path) -> IdxSplit:
+def read_idx(images_path, labels_path) -> Dataset:
     """An IDX image/label file pair as stored: (n, rows*cols) pixel bytes, n >= 1."""
     (count, rows, cols), pixels = _read_idx_file(
         images_path, IMAGES_MAGIC, ("item count", "row count", "column count"), "pixel"
@@ -238,7 +226,7 @@ def read_idx(images_path, labels_path) -> IdxSplit:
     if label_count != count:
         raise CountMismatch(f"{count} images but {label_count} labels")
     pixels = pixels.reshape(count, rows * cols)
-    return IdxSplit(pixels, labels.astype(int), np.arange(count))
+    return Dataset(pixels, labels.astype(int), DatasetKind.CLASSIFICATION)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -248,7 +236,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     to (n, rows*cols).  A run keeps the split as ``read_idx`` gives it.
     """
     split = read_idx(images_path, labels_path)
-    return Dataset(split.rows(slice(None)), split.targets, split.kind)
+    return Dataset(split.inputs, split.targets, split.kind)
 
 
 def write_idx(ds: Dataset, images_path, labels_path, rows: int, cols: int) -> None:
@@ -259,10 +247,8 @@ def write_idx(ds: Dataset, images_path, labels_path, rows: int, cols: int) -> No
     """
     if ds.kind != DatasetKind.CLASSIFICATION:
         raise ValueError("only classification datasets can be written as IDX")
-    if ds.inputs.shape[1] != rows * cols:
-        raise ValueError(
-            f"inputs have {ds.inputs.shape[1]} features, need {rows * cols}"
-        )
+    if ds.input_dim != rows * cols:
+        raise ValueError(f"inputs have {ds.input_dim} features, need {rows * cols}")
     if ds.targets.max() > 255:
         raise ValueError(f"label {ds.targets.max()} does not fit in one byte")
     pixels = np.clip(np.rint(ds.inputs * 255.0), 0, 255).astype(np.uint8)
@@ -371,9 +357,7 @@ def synth_multitask(spec: SyntheticMultitaskSpec) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def pick_rows(
-    ds: Dataset | IdxSplit, size: int, seed, stratified: bool = False
-) -> np.ndarray:
+def pick_rows(ds: Dataset, size: int, seed, stratified: bool = False) -> np.ndarray:
     """The rows ``subsample`` takes; SizeTooLarge if ``ds`` has too few."""
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -396,11 +380,9 @@ def pick_rows(
     return rng.permutation(ds.n)[:size]
 
 
-def subsample(
-    ds: Dataset | IdxSplit, size: int, seed, stratified: bool = False
-) -> Dataset | IdxSplit:
+def subsample(ds: Dataset, size: int, seed, stratified: bool = False) -> Dataset:
     """Seeded subsample of ``size`` examples, keeping input/target pairing
-    and the split's type.
+    and the split's ``source``.
 
     With ``stratified`` on a classification dataset, per-class counts differ
     by at most one (classes in ascending label order receive the remainder).
@@ -408,7 +390,7 @@ def subsample(
     return ds.take(pick_rows(ds, size, seed, stratified))
 
 
-def batches(ds: Dataset | IdxSplit, batch_size: int, seed):
+def batches(ds: Dataset, batch_size: int, seed):
     """Yield one epoch of minibatches after a seeded shuffle; each batch's
     inputs are one ``ds.rows`` read.
 

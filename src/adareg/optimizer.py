@@ -17,8 +17,8 @@ Each evaluation runs the network once: ``evaluate`` and ``full_objective``
 take the outputs of one ``predict`` and score them with one mean over all
 rows.  ``predict`` reads its rows through the split's ``rows`` reader and
 runs its forward passes on EVAL_CHUNK rows at a time, so that each chunk's
-float64 rows (about 6 MB for 784-wide rows, converted here for an IDX
-split) and the copy that BLAS packs for a product stay small and in cache;
+float64 rows (about 6 MB for 784-wide rows, a slice or a gathered copy)
+and the copy that BLAS packs for a product stay small and in cache;
 no mean is taken per chunk.  ``evaluate`` and ``predict`` also take a
 stacked network: each chunk is then read once for the whole group and runs
 one stacked ``forward``, and every cell is scored on its own outputs with
@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from . import net as net_mod
-from .data import Dataset, DatasetKind, IdxSplit, batches
+from .data import Dataset, DatasetKind, batches
 from .diagnostics import explained_variance
 from .errors import Diverged
 from .net import Network, loss_from_outputs, squared_error
@@ -120,13 +120,13 @@ class MetricLog:
     records: list[EpochRecord] = field(default_factory=list)
 
 
-def full_objective(state: AdaRegState, dataset: Dataset | IdxSplit) -> float:
+def full_objective(state: AdaRegState, dataset: Dataset) -> float:
     """Dataset loss plus the prior penalty on the regularized weight."""
     loss = loss_from_outputs(state.net, predict(state.net, dataset), dataset.targets)
     return loss + regularizer_value(state.net.regularized_weight, state.precisions, state.lam)
 
 
-def evaluate(network: Network, dataset: Dataset | IdxSplit):
+def evaluate(network: Network, dataset: Dataset):
     """(mean loss, headline metric) from one ``predict`` over the dataset:
     argmax accuracy for classification, mean explained variance across
     tasks for regression.  Regression scores both from one squared
@@ -149,7 +149,7 @@ def _score(network: Network, outputs: np.ndarray, dataset) -> tuple[float, float
     return loss, float(np.mean(explained_variance(squared, dataset.target_variance)))
 
 
-def predict(network: Network, dataset: Dataset | IdxSplit) -> np.ndarray:
+def predict(network: Network, dataset: Dataset) -> np.ndarray:
     """Network outputs for every row, computed in EVAL_CHUNK-row chunks;
     (cells, rows, out) for a stacked network.
 
@@ -194,7 +194,7 @@ def update_precisions(state: AdaRegState) -> AdaRegState:
 def train_block(
     state,
     schedule: BcdSchedule,
-    dataset: Dataset | IdxSplit,
+    dataset: Dataset,
     seed,
     weight_decay=0.0,
     dropout_rate: float = 0.0,
@@ -248,11 +248,11 @@ def _derived_seed(seed, outer_iter: int, epoch: int, stream: int):
 def run_adareg(
     network: Network,
     schedule: BcdSchedule,
-    dataset: Dataset | IdxSplit,
+    dataset: Dataset,
     bounds: SpectralBounds,
     lam,
     seed,
-    test_dataset: Dataset | IdxSplit | None = None,
+    test_dataset: Dataset | None = None,
     weight_decay=0.0,
     dropout_rate: float = 0.0,
 ):

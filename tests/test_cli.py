@@ -48,6 +48,18 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
 
 
+def _run_fresh(argv, **env):
+    """``python -m adareg`` with ``argv`` in a new process that imports this
+    checkout's ``src``, with ``env`` added to the environment."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "adareg", *argv],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+    )
+
+
 @pytest.fixture(autouse=True)
 def _fresh_dataset_cache():
     _load_base_cached.cache_clear()
@@ -419,16 +431,9 @@ class TestRunExperiment:
         }
         p = tmp_path / "config.json"
         p.write_text(json.dumps(config))
-        path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
         for name, jobs in (("serial", []), ("jobs", ["--jobs", "2"])):
             argv = ["run", str(p), "--output", str(tmp_path / name), *jobs]
-            done = subprocess.run(
-                [sys.executable, "-m", "adareg", *argv],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
+            done = _run_fresh(argv, OPENBLAS_NUM_THREADS="1")
             assert done.returncode == 0, done.stderr
         cells = 0
         for pattern in ("*_metrics.csv", "*_summary.json", "*_weights.npz"):
@@ -1412,6 +1417,27 @@ class TestUnreadableInputs:
         assert message in err and "Traceback" not in err
         if argv[0] == "run":
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, line",
+        [
+            (
+                "csv_not_utf8",
+                "train.csv: not a readable CSV file: 'utf-8' codec can't decode "
+                "byte 0xff in position 25: invalid start byte",
+            ),
+            ("idx_train_empty", "tr-img: holds no images"),
+        ],
+        ids=["csv_not_utf8", "idx_train_empty"],
+    )
+    def test_is_one_error_line_in_a_fresh_process(self, tmp_path, case, line):
+        """``python -m adareg run`` exits 1, its whole stderr is the one
+        ``error:`` line, and it makes no output directory."""
+        out = tmp_path / "runs"
+        done = _run_fresh(_unreadable_input(case, tmp_path, out))
+        assert done.returncode == 1
+        assert done.stderr == f"error: {tmp_path / line}\n"
+        assert not out.exists()
 
 
 def _key_paths(node, path=()):

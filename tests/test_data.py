@@ -12,7 +12,6 @@ import pytest
 from adareg.data import (
     Dataset,
     DatasetKind,
-    IdxSplit,
     SyntheticMultitaskSpec,
     batches,
     load_csv_regression,
@@ -140,28 +139,30 @@ class TestLoadIdx:
         _write_images(img, 16, 4, 4, range(256))
         _write_labels(lab, list(range(10)) + list(range(6)))
         split, floats = read_idx(img, lab), load_idx(img, lab)
-        assert split.pixels.dtype == np.uint8
+        assert split.source.dtype == np.uint8
         assert split.rows(slice(None)).tobytes() == floats.inputs.tobytes()
         assert split.rows(slice(None)).tobytes() == (np.arange(256) / 255.0).tobytes()
         part, want = subsample(split, 7, seed=1), subsample(floats, 7, seed=1)
         inner, inner_want = subsample(part, 5, seed=3), subsample(want, 5, seed=3)
         for got, expected in ((part, want), (inner, inner_want)):
-            assert isinstance(got, IdxSplit) and got.pixels is split.pixels
+            assert isinstance(got, Dataset) and got.source is split.source
             assert got.rows(slice(None)).tobytes() == expected.rows(slice(None)).tobytes()
             np.testing.assert_array_equal(got.targets, expected.targets)
             for b, e in zip(batches(got, 3, seed=2), batches(expected, 3, seed=2)):
                 assert b.inputs.tobytes() == e.inputs.tobytes()
                 assert b.targets.tobytes() == e.targets.tobytes()
 
-    def test_idx_subsample_holds_indices_not_pixels(self, tmp_path):
-        """A subsample keeps the split's ``pixels`` and allocates less than
-        one byte per pixel of the rows it picks."""
+    @pytest.mark.parametrize("load", [read_idx, load_idx])
+    def test_idx_subsample_holds_indices_not_pixels(self, tmp_path, load):
+        """A subsample of a byte or a float split keeps the split's
+        ``source`` and allocates less than one byte per pixel of the rows
+        it picks."""
         img, lab = tmp_path / "img", tmp_path / "lab"
         n, size, dim = 1500, 1000, 28 * 28
         rng = np.random.default_rng(4)
         _write_images(img, n, 28, 28, rng.integers(0, 256, n * dim, dtype=np.uint8))
         _write_labels(lab, rng.integers(0, 10, n, dtype=np.uint8))
-        split = read_idx(img, lab)
+        split = load(img, lab)
         tracemalloc.start()
         try:
             part = subsample(split, size, seed=5)
@@ -169,7 +170,21 @@ class TestLoadIdx:
         finally:
             tracemalloc.stop()
         assert peak < size * dim
-        assert part.pixels is split.pixels and part.n == size
+        assert part.source is split.source and part.n == size
+
+    def test_whole_split_reads_slices(self, tmp_path):
+        """A whole split has no index, so a contiguous read of a float split
+        is a view of its source; a subsample holds int row indices."""
+        img, lab = tmp_path / "img", tmp_path / "lab"
+        _write_images(img, 6, 2, 2, range(24))
+        _write_labels(lab, range(6))
+        assert read_idx(img, lab).index is None
+        floats = load_idx(img, lab)
+        assert floats.index is None
+        assert np.shares_memory(floats.rows(slice(0, 4)), floats.source)
+        part = subsample(floats, 3, seed=0)
+        assert part.index.dtype.kind == "i" and part.index.shape == (3,)
+        assert part.rows(slice(None)).tobytes() == floats.source[part.index].tobytes()
 
     @pytest.mark.parametrize("bad", ["images", "labels"])
     @pytest.mark.parametrize(
@@ -232,6 +247,13 @@ class TestInputGuards:
             (lambda: Dataset(np.ones((3, 2)), [0.0, np.nan, 1.0], DatasetKind.REGRESSION),
              "targets contain non-finite"),
             (lambda: Dataset(np.ones((3, 2)), np.ones(3), "ranking"), "unknown dataset kind"),
+            (lambda: Dataset(np.ones(3, np.uint8), [0, 1, 2], DatasetKind.CLASSIFICATION),
+             "inputs must be"),
+            (lambda: Dataset(np.ones((3, 2), np.uint8), [0, 1], DatasetKind.CLASSIFICATION),
+             "labels must be"),
+            (lambda: Dataset(np.ones((3, 2)), [0, 1, 2], DatasetKind.CLASSIFICATION,
+                             np.array([0, 2])),
+             "labels must be"),
             (lambda: _regression().num_classes, "only applies to classification"),
             (lambda: SyntheticMultitaskSpec(n_train=0, n_test=5), "sizes must be positive"),
             (lambda: write_idx(_regression(), "x", "y", 1, 1), "only classification"),
@@ -257,6 +279,9 @@ class TestInputGuards:
             "row_counts",
             "non_finite_targets",
             "unknown_kind",
+            "one_dim_bytes",
+            "byte_label_count",
+            "index_label_count",
             "num_classes_of_regression",
             "zero_spec_size",
             "idx_of_regression",

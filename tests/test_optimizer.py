@@ -14,7 +14,7 @@ import pytest
 
 from adareg import data as data_mod
 from adareg import net as net_mod
-from adareg.data import Dataset, DatasetKind, IdxSplit, load_idx, read_idx, write_idx
+from adareg.data import Dataset, DatasetKind, load_idx, read_idx, write_idx
 from adareg.errors import Diverged, ZeroVariance
 from adareg.net import (
     Activation,
@@ -600,7 +600,7 @@ class TestIdxSplitTraining:
         test_bytes, test_floats = read_idx(*idx_files["test"]), load_idx(*idx_files["test"])
         train_bytes = data_mod.subsample(read_idx(*idx_files["train"]), rows, [0, 101])
         train_floats = data_mod.subsample(load_idx(*idx_files["train"]), rows, [0, 101])
-        assert isinstance(train_bytes, IdxSplit) and train_bytes.n == rows
+        assert isinstance(train_bytes, Dataset) and train_bytes.n == rows
         net = Network.init([self.PIXELS, 16, 10], LossKind.SOFTMAX_CROSS_ENTROPY, seed=61)
         sched = BcdSchedule(2, 1, 256, 0.3)
         knobs = dict(lam=[0.0, 0.0, 1e-3], seed=62, weight_decay=[0.0, 1e-3, 0.0])
