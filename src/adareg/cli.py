@@ -37,7 +37,6 @@ from .data import (
     MAX_FLOAT64S,
     SyntheticMultitaskSpec,
     load_csv_regression,
-    pick_rows,
     read_idx,
     standardize_inputs,
     subsample,
@@ -247,11 +246,6 @@ class ExperimentConfig:
                 f"regularized_layer_index {layer_index} is out of range for "
                 f"{num_layers} layers"
             )
-        if sizes[:-1][layer_index] < 2:
-            raise ConfigError(
-                "layer_sizes: the regularized layer needs >= 2 inputs for its "
-                f"row correlations, got {sizes[:-1][layer_index]}"
-            )
 
         config = cls(
             dataset=dataset,
@@ -364,11 +358,11 @@ def _plan(
 ) -> tuple[LossKind, list[tuple]]:
     """The one pass of checks on the loaded splits before a run writes.
     Returns their loss and the sweep's groups in run order, each ``(methods,
-    cell names, seed, rows, stratified)``: the cells of one (training size,
-    seed) that share a dropout rate, and the ``subsample`` arguments of their
-    rows.  ConfigError if a split does not fit the architecture, MemoryError
-    if one network does not fit the machine, SizeTooLarge if a pair's rows do
-    not fit the training split, and ZeroVariance if a regression split's or
+    cell names, seed, rows)``: the cells of one (training size, seed) that
+    share a dropout rate, and that pair's rows of ``train``, drawn here once.
+    ConfigError if a split does not fit the architecture, MemoryError if one
+    network does not fit the machine, SizeTooLarge if a pair's rows do not
+    fit the training split, and ZeroVariance if a regression split's or
     pair's targets have a constant column (each split keeps its variance)."""
     classes = train.kind == DatasetKind.CLASSIFICATION
     for split in (train, test):
@@ -384,24 +378,23 @@ def _plan(
     plan = []
     for size in config.training_sizes:
         rows = train.n if size is None else size
-        stratified = rows != train.n  # ``pick_rows`` stratifies classes only
         tag = "full" if size is None else size
         for seed in config.seeds:
-            picked = pick_rows(train, rows, [seed, ROW_STREAM], stratified)
+            part = subsample(train, rows, [seed, ROW_STREAM], rows != train.n)
             if not classes:
-                target_variance(train.targets[picked])
+                target_variance(part.targets)
             for methods in by_rate.values():
                 names = tuple(f"{m}_n{tag}_s{seed}" for m in methods)
-                plan.append((tuple(methods), names, seed, rows, stratified))
+                plan.append((tuple(methods), names, seed, part.index))
     return loss, plan
 
 
 def _run_group(config: ExperimentConfig, loss: LossKind, group: tuple) -> None:
-    """Train one ``_plan`` group and write each of its cells' artifacts."""
-    methods, names, seed, rows, stratified = group
+    """Train one ``_plan`` group on its planned rows; write its cells' artifacts."""
+    methods, names, seed, rows = group
     out_dir = Path(config.output_dir)
     train_full, test = _load_base_cached(json.dumps(config.dataset, sort_keys=True))
-    train = subsample(train_full, rows, [seed, ROW_STREAM], stratified)
+    train = train_full.take(rows)
 
     network = Network.init(
         list(config.layer_sizes),
@@ -484,8 +477,9 @@ def _write_summary_json(
     state,
     log: MetricLog,
 ) -> None:
-    """Final metrics from the log, plus the final network's layer spectra and
-    row correlations and, for regression, its per-task test explained variance."""
+    """Final metrics from the log, plus the final network's layer spectra and,
+    for regression, its per-task test explained variance.  The row
+    correlations come from ``export_correlation``, which reads the weights."""
     final = state.net
     is_classification = train.kind == DatasetKind.CLASSIFICATION
     summary = {
@@ -504,7 +498,6 @@ def _write_summary_json(
             {"layer": i, **SpectrumReport.of(layer.weight).__dict__}
             for i, layer in enumerate(final.layers)
         ],
-        "correlation": correlation_matrix(final.regularized_weight).tolist(),
     }
     if not is_classification:
         _, squared = squared_error(final, predict(final, test), test.targets)

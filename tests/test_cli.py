@@ -42,6 +42,7 @@ from adareg.data import (
     subsample,
     write_idx,
 )
+from adareg.diagnostics import correlation_matrix
 from adareg.optimizer import BcdSchedule
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -233,8 +234,6 @@ class TestConfigValidation:
         (("dropout_rate",), 1.0),
         (("architecture", "layer_sizes"), [4]),
         (("architecture", "layer_sizes"), [4, 0, 2]),
-        # the regularized layer's row correlations need >= 2 inputs
-        (("architecture", "layer_sizes"), [4, 1, 2]),
         (("dataset", "kind"), "parquet"),
         (("dataset", "num_targets"), 0),
         (("methods",), []),
@@ -374,6 +373,30 @@ class TestRunExperiment:
         assert computed[0] is train_full.targets and computed[1] is test.targets
         assert len({id(t) for t in computed}) == len(computed)
 
+    def test_plan_draws_each_pairs_rows_once(self, tmp_path, monkeypatch):
+        """Each (training size, seed) pair's rows are drawn once, by the plan,
+        however many groups train on them."""
+        drawn = []
+        original = data_mod.pick_rows
+
+        def counting(ds, size, *args, **kwargs):
+            drawn.append(size)
+            return original(ds, size, *args, **kwargs)
+
+        monkeypatch.setattr(data_mod, "pick_rows", counting)
+        if hasattr(cli, "pick_rows"):
+            monkeypatch.setattr(cli, "pick_rows", counting)
+        raw = _synth_config(
+            tmp_path / "runs",
+            methods=["none", "adareg", "dropout"],  # two groups per pair
+            dropout_rate=0.1,
+            training_sizes=[32, 48],
+            seeds=[0, 1],
+        )
+        assert run_experiment(ExperimentConfig.from_dict(raw)) == 0
+        assert sorted(drawn) == [32, 32, 48, 48]  # one draw per (size, seed) pair
+        assert len(list((tmp_path / "runs").glob("*_weights.npz"))) == 3 * 2 * 2
+
     def test_metrics_csv_shape(self, tmp_path):
         out = tmp_path / "runs"
         run_experiment(ExperimentConfig.from_dict(_synth_config(out)))
@@ -510,6 +533,37 @@ class TestRunExperiment:
         p.write_text(json.dumps(cfg))
         assert main(["run", str(p), "--jobs", jobs]) == 1
         assert capsys.readouterr().err == "error: none_n32_s0: stand-in failure\n"
+
+    def test_diverging_sweep_on_two_workers_in_a_fresh_process(self, tmp_path):
+        """``python -m adareg run --jobs 2`` on a sweep whose every group
+        diverges exits 1, and its whole stderr is the one ``error:`` line
+        naming the first group."""
+        config = {
+            "dataset": {
+                "kind": "synthetic_multitask",
+                "n_train": 48,
+                "n_test": 24,
+                "input_dim": 4,
+                "num_tasks": 2,
+            },
+            "architecture": {"layer_sizes": [4, 6, 2]},
+            "methods": ["none"],
+            "schedule": {
+                "outer_loops": 1,
+                "epochs_per_block": 1,
+                "batch_size": 16,
+                "learning_rate": 1e30,
+            },
+            "seeds": [0, 1, 2],
+            "output_dir": str(tmp_path / "run"),
+        }
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(config))
+        done = _run_fresh(["run", str(p), "--jobs", "2"])
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: none_nfull_s0: layer 0 produced non-finite parameters\n"
+        )
 
     def test_dead_worker_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_run_group", _exit_on_seed_1)
@@ -784,6 +838,23 @@ class TestExportCorrelation:
         second = export_correlation(out, layer_index=1)[0].read_bytes()
         assert first == second
 
+    def test_export_is_the_one_source_of_row_correlations(self, tmp_path):
+        """No cell summary holds a correlation matrix; the export computes it
+        from the saved weights."""
+        out = tmp_path / "runs"
+        run_experiment(ExperimentConfig.from_dict(_synth_config(out)))
+        summaries = sorted(out.glob("*_summary.json"))
+        assert len(summaries) == 2
+        for path in summaries:
+            assert "correlation" not in json.loads(path.read_text())
+        for path in export_correlation(out, layer_index=1):
+            weights = path.name.replace("_correlation_layer1.csv", "_weights.npz")
+            with np.load(out / weights) as z:
+                expected = correlation_matrix(z["weight_1"])
+            lines = path.read_text().strip().splitlines()
+            exported = [[float(x) for x in line.split(",")[1:]] for line in lines[1:]]
+            np.testing.assert_array_equal(np.array(exported), expected)
+
     def test_missing_weights(self, tmp_path):
         with pytest.raises(MissingWeights):
             export_correlation(tmp_path, layer_index=0)
@@ -868,6 +939,46 @@ class TestCsvRegression:
         assert summary["metric_name"] == "explained_variance"
         assert len(summary["per_task_explained_variance"]) == 2
 
+    def test_headerless_pair_with_more_jobs_than_groups_in_a_fresh_process(
+        self, tmp_path
+    ):
+        """A header-less CSV pair under ``ADAREG_DATA_DIR``, trained on the
+        whole split by ``python -m adareg run --jobs 4`` over two groups:
+        ``validate``, ``run`` and ``summarize`` all exit 0."""
+        rng = np.random.default_rng(1)
+        for name, n in (("train", 60), ("test", 20)):
+            np.savetxt(tmp_path / f"{name}.csv", rng.normal(size=(n, 5)), delimiter=",")
+        config = {
+            "dataset": {
+                "kind": "csv_regression",
+                "train_path": "train.csv",
+                "test_path": "test.csv",
+                "num_targets": 2,
+            },
+            "architecture": {"layer_sizes": [3, 8, 2]},
+            "methods": ["none", "adareg", "dropout"],
+            "dropout_rate": 0.1,
+            "schedule": {
+                "outer_loops": 2,
+                "epochs_per_block": 2,
+                "batch_size": 16,
+                "learning_rate": 0.1,
+            },
+            # The whole split: a first row read as a header would fail the run.
+            "training_sizes": [60],
+            "seeds": [0],
+            "output_dir": str(tmp_path / "run"),
+        }
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(config))
+        for argv in (
+            ["validate", str(p)],
+            ["run", str(p), "--jobs", "4"],
+            ["summarize", str(tmp_path / "run")],
+        ):
+            done = _run_fresh(argv, ADAREG_DATA_DIR=str(tmp_path))
+            assert done.returncode == 0, done.stderr
+
     def test_nan_cell_fails_before_any_file_is_written(self, tmp_path, capsys):
         out = tmp_path / "runs"
         p = self._config(tmp_path, out, ["x0,x1,x2,y0,y1", "1,2,3,4,5", "1,nan,3,4,5"])
@@ -932,6 +1043,22 @@ class TestSingleInputLayer:
         assert err.startswith("error: ")
         assert "layer 0: need a matrix with >= 2 columns, got (6, 1)" in err
         assert main(["export-correlation", str(out), "--layer", "1"]) == 0
+
+    def test_a_one_input_regularized_layer_runs(self, tmp_path, capsys):
+        """The regularized layer of ``[4, 1, 2]`` has one input: the config
+        validates, runs and summarizes, and only its export is an error."""
+        out = tmp_path / "runs"
+        cfg = _synth_config(out, architecture={"layer_sizes": [4, 1, 2]})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 0
+        assert main(["run", str(p)]) == 0
+        assert main(["summarize", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["export-correlation", str(out), "--layer", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "layer 1: need a matrix with >= 2 columns, got (2, 1)" in err
 
 
 class TestIdxTrainingSplit:
